@@ -12,6 +12,7 @@
 
 #include "common/random.h"
 #include "index/index_manager.h"
+#include "obs/metrics.h"
 #include "storage/paged_store.h"
 #include "storage/read_only_store.h"
 #include "storage/shredder.h"
@@ -251,7 +252,7 @@ BENCHMARK(BM_ShredPaged);
 // E8: secondary indexes — descendant name steps and value/attribute
 // predicates, index probe vs scan, at three document scales. The
 // indexed variants also report index build time and footprint from
-// IndexStats.
+// the index's registered metrics.
 // --------------------------------------------------------------------------
 
 constexpr double kIndexScales[] = {0.002, 0.01, 0.04};
@@ -261,31 +262,36 @@ struct IndexedFixture {
   std::unique_ptr<index::IndexManager> index;
 };
 
-const IndexedFixture& IndexedFixtureAt(int scale_idx, bool memo_values) {
-  static IndexedFixture fixtures[2][3];
-  IndexedFixture& f = fixtures[memo_values ? 0 : 1][scale_idx];
+const IndexedFixture& IndexedAt(int scale_idx) {
+  static IndexedFixture fixtures[3];
+  IndexedFixture& f = fixtures[scale_idx];
   if (!f.store) {
     f.store = BuildUp(XmarkXml(kIndexScales[scale_idx]));
     index::IndexConfig cfg;
     cfg.gate_ratio = 0.5;
-    cfg.memo_values = memo_values;
     f.index = std::make_unique<index::IndexManager>(cfg);
     f.index->Rebuild(*f.store);
   }
   return f;
 }
 
-const IndexedFixture& IndexedAt(int scale_idx) {
-  return IndexedFixtureAt(scale_idx, /*memo_values=*/true);
+/// Metrics of a component driven without a Database (IndexManager,
+/// PlanCache): registered into a local registry and snapshotted.
+template <typename Component>
+obs::MetricsSnapshot MetricsOf(const Component& c) {
+  obs::MetricsRegistry reg;
+  c.RegisterMetrics(&reg);
+  return reg.Snapshot();
 }
 
 void ReportIndexCounters(benchmark::State& state,
                          const IndexedFixture& f) {
-  auto s = f.index->Stats();
+  const obs::MetricsSnapshot m = MetricsOf(*f.index);
   state.counters["nodes"] = static_cast<double>(f.store->used_count());
-  state.counters["build_ms"] = static_cast<double>(s.build_micros) / 1000.0;
+  state.counters["build_ms"] =
+      static_cast<double>(m.ValueOf("pxq_index_build_micros")) / 1000.0;
   state.counters["index_MB"] =
-      static_cast<double>(s.bytes) / (1024.0 * 1024.0);
+      static_cast<double>(m.ValueOf("pxq_index_bytes")) / (1024.0 * 1024.0);
 }
 
 void RunQuery(benchmark::State& state, const IndexedFixture& f,
@@ -357,18 +363,9 @@ void BM_IndexRebuild(benchmark::State& state) {
 }
 BENCHMARK(BM_IndexRebuild)->DenseRange(0, 2);
 
-// Warm vs cold value/attribute probes. "Cold" disables the value memo
-// (IndexConfig::memo_values = false): every probe re-collects matches
-// and re-swizzles NodeIds to pres — the pre-memo per-call cost. "Warm"
-// repeats the same probe against the memoizing index with no
+// Warm value/attribute probes: the same probe repeated with no
 // intervening commit, so after the first iteration every call is a
-// memo hit (validate generations + copy the cached pre vector). The
-// acceptance bar is warm >= 5x cold on the range probes at the largest
-// scale (factor 0.04, scale index 2).
-
-const IndexedFixture& IndexedNoMemoAt(int scale_idx) {
-  return IndexedFixtureAt(scale_idx, /*memo_values=*/false);
-}
+// memo hit (validate generations + copy the cached pre vector).
 
 void ValueProbeBench(benchmark::State& state, const IndexedFixture& f) {
   QnameId reserve = f.store->pools().FindQname("reserve");
@@ -384,15 +381,9 @@ void ValueProbeBench(benchmark::State& state, const IndexedFixture& f) {
     benchmark::DoNotOptimize(simple);
   }
   state.counters["results"] = static_cast<double>(simple.size());
-  auto s = f.index->Stats();
-  state.counters["value_memo_hits"] =
-      static_cast<double>(s.memo_value_hits);
+  state.counters["value_memo_hits"] = static_cast<double>(
+      MetricsOf(*f.index).ValueOf("pxq_index_memo_value_hits_total"));
 }
-
-void BM_ValueRangeProbeCold(benchmark::State& state) {
-  ValueProbeBench(state, IndexedNoMemoAt(static_cast<int>(state.range(0))));
-}
-BENCHMARK(BM_ValueRangeProbeCold)->DenseRange(0, 2);
 
 void BM_ValueRangeProbeWarm(benchmark::State& state) {
   ValueProbeBench(state, IndexedAt(static_cast<int>(state.range(0))));
@@ -406,7 +397,7 @@ void AttrProbeBench(benchmark::State& state, const IndexedFixture& f) {
   for (auto _ : state) {
     // Lexicographic range over @id (>= "category" covers the
     // category/item/open_auction/person id spellings): a large match
-    // set, so the cold cost is dominated by the swizzle.
+    // set, so a memo miss would be dominated by the swizzle.
     auto owners = f.index->AttrValueProbe(*f.store, id, xpath::CmpOp::kGe,
                                           "category", big);
     if (!owners) {
@@ -418,11 +409,6 @@ void AttrProbeBench(benchmark::State& state, const IndexedFixture& f) {
   }
   state.counters["results"] = static_cast<double>(results);
 }
-
-void BM_AttrRangeProbeCold(benchmark::State& state) {
-  AttrProbeBench(state, IndexedNoMemoAt(static_cast<int>(state.range(0))));
-}
-BENCHMARK(BM_AttrRangeProbeCold)->DenseRange(0, 2);
 
 void BM_AttrRangeProbeWarm(benchmark::State& state) {
   AttrProbeBench(state, IndexedAt(static_cast<int>(state.range(0))));
@@ -444,11 +430,6 @@ void AttrOwnersBench(benchmark::State& state, const IndexedFixture& f) {
   }
   state.counters["results"] = static_cast<double>(results);
 }
-
-void BM_AttrOwnersProbeCold(benchmark::State& state) {
-  AttrOwnersBench(state, IndexedNoMemoAt(static_cast<int>(state.range(0))));
-}
-BENCHMARK(BM_AttrOwnersProbeCold)->DenseRange(0, 2);
 
 void BM_AttrOwnersProbeWarm(benchmark::State& state) {
   AttrOwnersBench(state, IndexedAt(static_cast<int>(state.range(0))));
@@ -497,7 +478,7 @@ void DeepPathBench(benchmark::State& state, int chain_depth) {
       DeepPathFixtureAt(static_cast<int>(state.range(0)), chain_depth);
   xpath::Evaluator<storage::PagedStore> ev(*f.store, f.index.get());
   auto path = xpath::ParsePath(kChainQuery).value();
-  const auto before = f.index->Stats();
+  const obs::MetricsSnapshot before = MetricsOf(*f.index);
   int64_t results = 0;
   for (auto _ : state) {
     auto r = ev.Eval(path);
@@ -508,11 +489,14 @@ void DeepPathBench(benchmark::State& state, int chain_depth) {
     results = static_cast<int64_t>(r.value().size());
     benchmark::DoNotOptimize(r);
   }
-  const auto after = f.index->Stats();
+  const obs::MetricsSnapshot after = MetricsOf(*f.index);
+  auto cascade = [](const obs::MetricsSnapshot& m) {
+    return m.ValueOf("pxq_index_chain_probes_total") +
+           m.ValueOf("pxq_index_path_probes_total");
+  };
   state.counters["results"] = static_cast<double>(results);
   state.counters["cascade_probes"] =
-      static_cast<double>(after.chain_probes + after.path_probes -
-                          before.chain_probes - before.path_probes) /
+      static_cast<double>(cascade(after) - cascade(before)) /
       static_cast<double>(state.iterations());
   ReportIndexCounters(state, f);
 }
@@ -584,7 +568,7 @@ void BM_PlanCacheWarm(benchmark::State& state) {
   }
   state.counters["results"] = static_cast<double>(results);
   state.counters["plan_hits"] =
-      static_cast<double>(cache.stats().hits);
+      static_cast<double>(MetricsOf(cache).ValueOf("pxq_plan_cache_hits"));
 }
 BENCHMARK(BM_PlanCacheWarm)->DenseRange(0, 2);
 
@@ -634,8 +618,8 @@ void RunColdSelectivity(benchmark::State& state,
     benchmark::DoNotOptimize(r);
   }
   state.counters["results"] = static_cast<double>(results);
-  state.counters["plan_reorders"] =
-      static_cast<double>(idx->Stats().plan_reorders);
+  state.counters["plan_reorders"] = static_cast<double>(
+      MetricsOf(*idx).ValueOf("pxq_plan_reorders_total"));
 }
 
 // Adversarial source order: the broad exists predicates come first

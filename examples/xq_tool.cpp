@@ -206,46 +206,38 @@ int main(int argc, char** argv) {
                 static_cast<long long>(s.NodeTableBytes()));
     std::printf("string pools:   %lld bytes\n",
                 static_cast<long long>(s.pools().ByteSize()));
-    auto ix = db->IndexStats();
+    const pxq::obs::MetricsSnapshot m = db->Metrics();
+    auto v = [&m](const char* name) {
+      return static_cast<long long>(m.ValueOf(name));
+    };
     std::printf("index:          %lld qname keys, %lld path keys, "
                 "%lld value keys, %lld attr keys, %lld bytes\n",
-                static_cast<long long>(ix.qname_keys),
-                static_cast<long long>(ix.path_keys),
-                static_cast<long long>(ix.value_keys),
-                static_cast<long long>(ix.attr_value_keys),
-                static_cast<long long>(ix.bytes));
+                v("pxq_index_qname_keys"), v("pxq_index_path_keys"),
+                v("pxq_index_value_keys"), v("pxq_index_attr_value_keys"),
+                v("pxq_index_bytes"));
     std::printf("path chains:    %lld keys, %lld postings (len > 2)\n",
-                static_cast<long long>(ix.chain_keys),
-                static_cast<long long>(ix.chain_postings));
+                v("pxq_index_chain_keys"), v("pxq_index_chain_postings"));
     std::printf("index shards:   %lld (publish epoch %lld, structure "
                 "epoch %lld)\n",
-                static_cast<long long>(ix.shards),
-                static_cast<long long>(ix.publish_epoch),
-                static_cast<long long>(ix.structure_epoch));
+                v("pxq_index_shards"), v("pxq_index_publish_epoch"),
+                v("pxq_index_structure_epoch"));
     std::printf("plan cache:     %lld hits, %lld misses, %lld evictions\n",
-                static_cast<long long>(ix.plan_hits),
-                static_cast<long long>(ix.plan_misses),
-                static_cast<long long>(ix.plan_evictions));
-    auto lk = db->LockStats();
+                v("pxq_plan_cache_hits"), v("pxq_plan_cache_misses"),
+                v("pxq_plan_cache_evictions"));
     std::printf("global lock:    readers %lld acquires / %lld waits, "
                 "writers %lld acquires / %lld waits\n",
-                static_cast<long long>(lk.reader_acquires),
-                static_cast<long long>(lk.reader_waits),
-                static_cast<long long>(lk.writer_acquires),
-                static_cast<long long>(lk.writer_waits));
+                v("pxq_lock_reader_acquires"), v("pxq_lock_reader_waits"),
+                v("pxq_lock_writer_acquires"), v("pxq_lock_writer_waits"));
     std::printf("reader slots:   %lld slots, %lld collisions, "
                 "%lld drain notifies\n",
-                static_cast<long long>(lk.reader_slots),
-                static_cast<long long>(lk.slot_collisions),
-                static_cast<long long>(lk.drain_notifies));
+                v("pxq_lock_reader_slots"), v("pxq_lock_slot_collisions"),
+                v("pxq_lock_drain_notifies"));
     if (db->durable()) {
-      auto& tm = db->txn_manager();
       std::printf("durability:     WAL on, %lld commits in log, "
                   "%lld replayed at open, %lld checkpoints "
                   "(each a full read+write stall)\n",
-                  static_cast<long long>(tm.wal_commits()),
-                  static_cast<long long>(db->recovered_commits()),
-                  static_cast<long long>(tm.checkpoint_hist().Count()));
+                  v("pxq_wal_commits"), v("pxq_recovery_replayed_commits"),
+                  v("pxq_checkpoint_ns"));
     } else {
       std::printf("durability:     off (in-memory only; pass a data "
                   "dir to enable WAL + snapshots)\n");

@@ -32,14 +32,6 @@ void ApplyIndexEnvOverrides(index::IndexConfig* cfg) {
       e != nullptr && e[0] != '\0') {
     cfg->path_chain_depth = std::atoi(e);
   }
-  // PXQ_SELECTIVITY_PLANNING=0 disables estimate-driven plan
-  // reshaping (predicate reorder, cascade cost order, probe fusion)
-  // so the fuzz/bench legs can A-B syntactic vs cost-based plans.
-  // NOLINTNEXTLINE(concurrency-mt-unsafe): read before threads start
-  if (const char* e = std::getenv("PXQ_SELECTIVITY_PLANNING");
-      e != nullptr && e[0] != '\0') {
-    cfg->selectivity_planning = e[0] != '0';
-  }
 }
 
 /// PXQ_PROFILE=<n> turns on 1-in-n query profiling (1 = every query)
@@ -159,6 +151,9 @@ void Database::InitObservability() {
   // the counters/histograms its hot paths already bump, plus callback
   // groups for mutex-guarded derived values. The registry is just the
   // catalog — there is exactly one set of atomics.
+  // Snapshots read in registration order: the plan cache precedes the
+  // index because a query bumps its plan counter before issuing any
+  // probe, so "probes implied by counted plans" >= "probes counted".
   profiler_->RegisterMetrics(&metrics_);
   plan_cache_.RegisterMetrics(&metrics_);
   if (index_ != nullptr) index_->RegisterMetrics(&metrics_);
@@ -273,23 +268,24 @@ StatusOr<std::string> Database::Serialize(PreId root, bool pretty) {
 
 StatusOr<xupdate::ApplyStats> Database::Update(std::string_view xupdate_doc,
                                                int retries) {
+  PXQ_ASSIGN_OR_RETURN(std::unique_ptr<txn::Transaction> t, txns_->Begin());
   Status last = Status::OK();
-  for (int attempt = 0; attempt <= retries; ++attempt) {
-    PXQ_ASSIGN_OR_RETURN(std::unique_ptr<txn::Transaction> t,
-                         txns_->Begin());
+  for (int attempt = 0;; ++attempt) {
     auto stats = xupdate::ApplyXUpdate(t->store(), xupdate_doc);
-    if (!stats.ok()) {
-      t->Abort().ok();
-      if (stats.status().IsConflict()) {
-        last = stats.status();
-        continue;  // retry
-      }
-      return stats.status();
+    if (stats.ok()) {
+      last = t->Commit();
+      if (last.ok()) return stats.value();
+      if (!last.IsAborted() && !last.IsConflict()) return last;
+    } else {
+      // Destroying `t` on return aborts it.
+      if (!stats.status().IsConflict()) return stats.status();
+      last = stats.status();
     }
-    Status c = t->Commit();
-    if (c.ok()) return stats.value();
-    last = c;
-    if (!c.IsAborted() && !c.IsConflict()) return c;
+    if (attempt == retries) break;
+    // A loser of first-updater-wins keeps its page locks across the
+    // retry (TransactionManager::Retry), so it cannot lose the same
+    // page to the next committer on every attempt.
+    PXQ_ASSIGN_OR_RETURN(t, txns_->Retry(std::move(t)));
   }
   return Status::Aborted("update failed after retries: " + last.ToString());
 }

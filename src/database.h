@@ -123,33 +123,6 @@ class Database {
     return recovery_replayed_commits_.Value();
   }
 
-  /// Secondary-index observability (zeroed stats when disabled) —
-  /// includes shard/snapshot publication counters, planner hit counters
-  /// for the child-step and path-prefix plans, and the plan-cache
-  /// counters (plan_hits / plan_misses / plan_evictions, live even
-  /// with the index disabled — the plan cache is independent of it).
-  ///
-  /// Snapshot coherence: each half is internally consistent — the
-  /// plan-cache triple is one mutex-guarded copy (hits + misses equals
-  /// completed lookups exactly), and the index's derived hit counters
-  /// read declines before probes so hits stay within [0, probes] even
-  /// mid-traffic (see IndexManager::Stats). Cross-subsystem skew
-  /// between the two halves is inherent to lock-free counters and
-  /// bounded by the in-flight queries at snapshot time.
-  index::IndexStats IndexStats() const {
-    // Plan-cache stats FIRST: a query increments its plan counter
-    // before issuing any probe, so sampling plans before probes keeps
-    // "probes implied by counted plans" >= "probes counted" — the
-    // conservative direction for hit-rate math.
-    const xpath::PlanCache::Stats ps = plan_cache_.stats();
-    index::IndexStats s = index_ ? index_->Stats() : index::IndexStats{};
-    s.plan_hits = ps.hits;
-    s.plan_misses = ps.misses;
-    s.plan_evictions = ps.evictions;
-    return s;
-  }
-  /// Global-lock acquire/contention counters (reader vs writer waits).
-  txn::GlobalLock::Stats LockStats() const { return txns_->lock_stats(); }
   /// The compiled-plan cache shared by queries and transactions.
   xpath::PlanCache& plan_cache() { return plan_cache_; }
   /// The database's index (nullptr when disabled). Probes are only
@@ -157,11 +130,15 @@ class Database {
   index::IndexManager* index_manager() { return index_.get(); }
 
   // --- unified observability ------------------------------------------
-  /// Point-in-time snapshot of every registered metric: the index's
-  /// probe counters, plan-cache hit/miss/compile-time, global-lock
-  /// contention (wait-time histograms), commit-window and WAL append
-  /// latencies, and the profiler's query-latency histogram — all read
-  /// from the same atomics the hot paths bump.
+  /// Point-in-time snapshot of every registered metric — the database's
+  /// ONE stats surface: the index's probe/decline and memo counters and
+  /// structure sizes (pxq_index_*), plan-cache hit/miss/eviction/size
+  /// and compile time (pxq_plan_*), global-lock acquires, waits and
+  /// wait-time histograms (pxq_lock_*), commit-window, checkpoint and
+  /// WAL latencies, recovery, and the profiler's query latency — all
+  /// read from the same atomics the hot paths bump. Index hit counts
+  /// are derived: probes_total - declines_total (within [0, probes] in
+  /// every snapshot — see MetricsRegistry::Snapshot's read order).
   obs::MetricsSnapshot Metrics() const { return metrics_.Snapshot(); }
   /// Machine-readable snapshot with stable keys (`xq stats --json`).
   std::string StatsJson() const { return metrics_.Snapshot().ToJson(); }

@@ -922,33 +922,30 @@ bool IndexManager::ChildValueProbe(const storage::PagedStore& store,
   }
   const ValueBucket& vb = *vit->second;
   const uint64_t sepoch = structure_epoch_.load(std::memory_order_acquire);
-  MemoKey mk;
-  if (config_.memo_values) {
-    mk = ValueMemoKey(MemoNs::kValue, qn, op, literal);
-    // Count-only (negative-cache) entries validate on generations
-    // alone: a candidate COUNT depends only on dictionary content,
-    // never on pre ranks, so structural commits that touched other
-    // keys leave a warm decline warm.
-    if (const MemoEntry* e = LookupMemo(shard, mk);
-        e != nullptr && e->src_gen == SourceGenFor(vb, mk) &&
-        e->aux_gen == vb.complex_gen &&
-        (!e->materialized || e->structure_epoch == sepoch)) {
-      if (!Gate(e->candidates, scan_cost)) {
-        // Warm decline: the gate ran off the cached count — no
-        // CollectMatches, no dictionary walk.
-        value_neg_hits_.Inc();
-        probe_declines_.Inc();
-        return false;
-      }
-      if (e->materialized) {
-        memo_value_hits_.Inc();
-        *simple = e->pres;
-        *complex_rest = e->complex_pres;
-        return true;
-      }
-      // Count-only entry, but the caller's scan estimate now passes
-      // the gate: fall through and materialize.
+  const MemoKey mk = ValueMemoKey(MemoNs::kValue, qn, op, literal);
+  // Count-only (negative-cache) entries validate on generations alone:
+  // a candidate COUNT depends only on dictionary content, never on pre
+  // ranks, so structural commits that touched other keys leave a warm
+  // decline warm.
+  if (const MemoEntry* e = LookupMemo(shard, mk);
+      e != nullptr && e->src_gen == SourceGenFor(vb, mk) &&
+      e->aux_gen == vb.complex_gen &&
+      (!e->materialized || e->structure_epoch == sepoch)) {
+    if (!Gate(e->candidates, scan_cost)) {
+      // Warm decline: the gate ran off the cached count — no
+      // CollectMatches, no dictionary walk.
+      value_neg_hits_.Inc();
+      probe_declines_.Inc();
+      return false;
     }
+    if (e->materialized) {
+      memo_value_hits_.Inc();
+      *simple = e->pres;
+      *complex_rest = e->complex_pres;
+      return true;
+    }
+    // Count-only entry, but the caller's scan estimate now passes the
+    // gate: fall through and materialize.
   }
   std::vector<NodeId> matches;
   CollectMatches(vb.by_string, vb.by_number, op, literal, &matches);
@@ -956,34 +953,29 @@ bool IndexManager::ChildValueProbe(const storage::PagedStore& store,
                     static_cast<int64_t>(vb.complex_elems.size());
   if (!Gate(k, scan_cost)) {
     probe_declines_.Inc();
-    if (config_.memo_values) {
-      // Negative cache (ROADMAP): remember the candidate count so the
-      // key's next warm decline skips CollectMatches entirely. The
-      // entry invalidates like any other when a commit re-stamps the
-      // key's generation.
-      auto entry = std::make_shared<MemoEntry>();
-      entry->src_gen = SourceGenFor(vb, mk);
-      entry->aux_gen = vb.complex_gen;
-      entry->structure_epoch = sepoch;
-      entry->candidates = k;
-      entry->materialized = false;
-      PublishMemo(shard, mk, std::move(entry));
-    }
-    return false;
-  }
-  *simple = ToPres(store, matches);
-  *complex_rest = ToPres(store, vb.complex_elems);
-  if (config_.memo_values) {
-    memo_value_misses_.Inc();
+    // Negative cache: remember the candidate count so the key's next
+    // warm decline skips CollectMatches entirely. The entry invalidates
+    // like any other when a commit re-stamps the key's generation.
     auto entry = std::make_shared<MemoEntry>();
     entry->src_gen = SourceGenFor(vb, mk);
     entry->aux_gen = vb.complex_gen;
     entry->structure_epoch = sepoch;
     entry->candidates = k;
-    entry->pres = *simple;
-    entry->complex_pres = *complex_rest;
+    entry->materialized = false;
     PublishMemo(shard, mk, std::move(entry));
+    return false;
   }
+  *simple = ToPres(store, matches);
+  *complex_rest = ToPres(store, vb.complex_elems);
+  memo_value_misses_.Inc();
+  auto entry = std::make_shared<MemoEntry>();
+  entry->src_gen = SourceGenFor(vb, mk);
+  entry->aux_gen = vb.complex_gen;
+  entry->structure_epoch = sepoch;
+  entry->candidates = k;
+  entry->pres = *simple;
+  entry->complex_pres = *complex_rest;
+  PublishMemo(shard, mk, std::move(entry));
   return true;
 }
 
@@ -1005,24 +997,20 @@ std::optional<std::vector<PreId>> IndexManager::AttrOwners(
   MemoKey mk;
   mk.ns = MemoNs::kAttrOwners;
   mk.key = static_cast<uint64_t>(static_cast<uint32_t>(qn));
-  if (config_.memo_values) {
-    if (const MemoEntry* e = LookupMemo(shard, mk);
-        e != nullptr && e->src_gen == ab.owners_gen &&
-        e->structure_epoch == sepoch) {
-      memo_value_hits_.Inc();
-      return e->pres;
-    }
+  if (const MemoEntry* e = LookupMemo(shard, mk);
+      e != nullptr && e->src_gen == ab.owners_gen &&
+      e->structure_epoch == sepoch) {
+    memo_value_hits_.Inc();
+    return e->pres;
   }
   std::vector<PreId> pres = ToPres(store, ab.owners);
-  if (config_.memo_values) {
-    memo_value_misses_.Inc();
-    auto entry = std::make_shared<MemoEntry>();
-    entry->src_gen = ab.owners_gen;
-    entry->structure_epoch = sepoch;
-    entry->candidates = k;
-    entry->pres = pres;
-    PublishMemo(shard, mk, std::move(entry));
-  }
+  memo_value_misses_.Inc();
+  auto entry = std::make_shared<MemoEntry>();
+  entry->src_gen = ab.owners_gen;
+  entry->structure_epoch = sepoch;
+  entry->candidates = k;
+  entry->pres = pres;
+  PublishMemo(shard, mk, std::move(entry));
   return pres;
 }
 
@@ -1039,23 +1027,20 @@ std::optional<std::vector<PreId>> IndexManager::AttrValueProbe(
   if (it == snap->attrs.end()) return std::vector<PreId>{};
   const AttrBucket& ab = *it->second;
   const uint64_t sepoch = structure_epoch_.load(std::memory_order_acquire);
-  MemoKey mk;
-  if (config_.memo_values) {
-    mk = ValueMemoKey(MemoNs::kAttrValue, qn, op, literal);
-    // Same negative-cache protocol as ChildValueProbe: count-only
-    // entries validate on the key generation alone.
-    if (const MemoEntry* e = LookupMemo(shard, mk);
-        e != nullptr && e->src_gen == SourceGenFor(ab, mk) &&
-        (!e->materialized || e->structure_epoch == sepoch)) {
-      if (!Gate(e->candidates, scan_cost)) {
-        value_neg_hits_.Inc();
-        probe_declines_.Inc();
-        return std::nullopt;
-      }
-      if (e->materialized) {
-        memo_value_hits_.Inc();
-        return e->pres;
-      }
+  const MemoKey mk = ValueMemoKey(MemoNs::kAttrValue, qn, op, literal);
+  // Same negative-cache protocol as ChildValueProbe: count-only entries
+  // validate on the key generation alone.
+  if (const MemoEntry* e = LookupMemo(shard, mk);
+      e != nullptr && e->src_gen == SourceGenFor(ab, mk) &&
+      (!e->materialized || e->structure_epoch == sepoch)) {
+    if (!Gate(e->candidates, scan_cost)) {
+      value_neg_hits_.Inc();
+      probe_declines_.Inc();
+      return std::nullopt;
+    }
+    if (e->materialized) {
+      memo_value_hits_.Inc();
+      return e->pres;
     }
   }
   std::vector<NodeId> matches;
@@ -1063,26 +1048,22 @@ std::optional<std::vector<PreId>> IndexManager::AttrValueProbe(
   const int64_t k = static_cast<int64_t>(matches.size());
   if (!Gate(k, scan_cost)) {
     probe_declines_.Inc();
-    if (config_.memo_values) {
-      auto entry = std::make_shared<MemoEntry>();
-      entry->src_gen = SourceGenFor(ab, mk);
-      entry->structure_epoch = sepoch;
-      entry->candidates = k;
-      entry->materialized = false;
-      PublishMemo(shard, mk, std::move(entry));
-    }
-    return std::nullopt;
-  }
-  std::vector<PreId> pres = ToPres(store, matches);
-  if (config_.memo_values) {
-    memo_value_misses_.Inc();
     auto entry = std::make_shared<MemoEntry>();
     entry->src_gen = SourceGenFor(ab, mk);
     entry->structure_epoch = sepoch;
     entry->candidates = k;
-    entry->pres = pres;
+    entry->materialized = false;
     PublishMemo(shard, mk, std::move(entry));
+    return std::nullopt;
   }
+  std::vector<PreId> pres = ToPres(store, matches);
+  memo_value_misses_.Inc();
+  auto entry = std::make_shared<MemoEntry>();
+  entry->src_gen = SourceGenFor(ab, mk);
+  entry->structure_epoch = sepoch;
+  entry->candidates = k;
+  entry->pres = pres;
+  PublishMemo(shard, mk, std::move(entry));
   return pres;
 }
 
@@ -1260,116 +1241,20 @@ void IndexManager::RecordEstimateError(int64_t est, int64_t act) const {
   est_error_.Record(static_cast<int64_t>(std::abs(ratio) * 100.0 + 0.5));
 }
 
-IndexStats IndexManager::Stats() const {
-  IndexStats s;
-  // Hits are derived as probes - declines from two independent relaxed
-  // counters. Read each family's DECLINES first: a probe increments its
-  // probe counter before (possibly) its decline counter, so
-  // declines-then-probes guarantees declines_read <= probes_read and
-  // the derived hits can never transiently dip below the true value or
-  // go negative mid-traffic (the reverse order could read a decline
-  // whose probe increment it then missed).
-  const int64_t probe_declines = probe_declines_.Value();
-  s.probes = probes_.Value();
-  s.probe_hits = s.probes - probe_declines;
-  const int64_t path_declines = path_declines_.Value();
-  s.path_probes = path_probes_.Value();
-  s.path_hits = s.path_probes - path_declines;
-  const int64_t chain_declines = chain_declines_.Value();
-  s.chain_probes = chain_probes_.Value();
-  s.chain_hits = s.chain_probes - chain_declines;
-  s.value_neg_hits = value_neg_hits_.Value();
-  s.child_step_hits = child_step_hits_.Value();
-  s.memo_hits = memo_hits_.Value();
-  s.memo_misses = memo_misses_.Value();
-  s.memo_value_hits = memo_value_hits_.Value();
-  s.memo_value_misses = memo_value_misses_.Value();
-  s.cross_check_mismatches = cross_check_mismatches_.Value();
-  s.estimator_probes = estimator_probes_.Value();
-  s.plan_reorders = plan_reorders_.Value();
-  s.shards = nshards_;
-  s.publish_epoch =
-      static_cast<int64_t>(publish_epoch_.load(std::memory_order_acquire));
-  s.structure_epoch =
-      static_cast<int64_t>(structure_epoch_.load(std::memory_order_acquire));
-  // Structure walk under writer_mu_: publication both swaps and
-  // reclaims snapshots, so Stats() must not chase the raw pointers
-  // concurrently with a writer.
-  MutexLock lock(&writer_mu_);
-  s.build_micros = build_micros_;
-  s.maintenance_ops = maintenance_ops_;
-  s.applied_commits = applied_commits_;
-  s.node_states = static_cast<int64_t>(node_state_.size());
-  int64_t bytes = 0;
-  for (const auto& [n, st] : node_state_) {
-    bytes += static_cast<int64_t>(sizeof(NodeState)) +
-             static_cast<int64_t>(st.value.size()) +
-             static_cast<int64_t>(st.attrs.size()) * 48;
-  }
-  for (const auto& owned : owned_snaps_) {
-    const ShardSnapshot& snap = *owned;
-    s.qname_keys += static_cast<int64_t>(snap.postings.size());
-    for (const auto& [qn, p] : snap.postings) {
-      s.postings_entries += static_cast<int64_t>(p->nodes.size());
-      bytes += static_cast<int64_t>(p->nodes.size()) * 8;
-    }
-    for (const auto& [key, p] : snap.paths) {
-      if (key.len == 2) {
-        s.path_keys += 1;
-      } else {
-        s.chain_keys += 1;
-        s.chain_postings += static_cast<int64_t>(p->nodes.size());
-      }
-      bytes += static_cast<int64_t>(p->nodes.size()) * 8 +
-               static_cast<int64_t>(sizeof(ChainKey));
-    }
-    // Every posting/path bucket is a stat key (its length IS its
-    // cardinality stat); dictionary keys and owner lists join below.
-    s.stat_keys += static_cast<int64_t>(snap.postings.size()) +
-                   static_cast<int64_t>(snap.paths.size());
-    for (const auto& [qn, vbp] : snap.values) {
-      const ValueBucket& vb = *vbp;
-      s.value_keys += static_cast<int64_t>(vb.by_string.size());
-      s.complex_entries += static_cast<int64_t>(vb.complex_elems.size());
-      s.stat_keys += static_cast<int64_t>(vb.by_string.size());
-      for (const int64_t c : vb.hist.counts) {
-        if (c > 0) s.histogram_buckets += 1;
-      }
-      for (const auto& [v, e] : vb.by_string) {
-        bytes += static_cast<int64_t>(v.size()) + 48 +
-                 static_cast<int64_t>(e.nodes.size()) * 8;
-      }
-      bytes += static_cast<int64_t>(vb.by_number.size()) * 48 +
-               static_cast<int64_t>(vb.complex_elems.size()) * 8;
-    }
-    for (const auto& [qn, abp] : snap.attrs) {
-      const AttrBucket& ab = *abp;
-      s.attr_value_keys += static_cast<int64_t>(ab.by_string.size());
-      s.stat_keys += static_cast<int64_t>(ab.by_string.size()) + 1;
-      for (const int64_t c : ab.hist.counts) {
-        if (c > 0) s.histogram_buckets += 1;
-      }
-      for (const auto& [v, e] : ab.by_string) {
-        bytes += static_cast<int64_t>(v.size()) + 48 +
-                 static_cast<int64_t>(e.nodes.size()) * 8;
-      }
-      bytes += static_cast<int64_t>(ab.by_number.size()) * 48 +
-               static_cast<int64_t>(ab.owners.size()) * 8;
-    }
-  }
-  s.bytes = bytes;
-  return s;
-}
-
 void IndexManager::RegisterMetrics(obs::MetricsRegistry* reg) const {
   // Counters: the registry references the SAME padded atomics the
-  // lock-free probe paths bump — snapshots read them directly.
-  reg->RegisterCounter("pxq_index_probes_total", &probes_);
+  // lock-free probe paths bump — snapshots read them directly. Each
+  // family registers its DECLINES before its PROBES: a snapshot reads
+  // in registration order and a probe bumps its probe counter before
+  // (possibly) its decline counter, so declines_read <= probes_read and
+  // the derived hits (probes - declines) stay within [0, probes] even
+  // mid-traffic.
   reg->RegisterCounter("pxq_index_probe_declines_total", &probe_declines_);
-  reg->RegisterCounter("pxq_index_path_probes_total", &path_probes_);
+  reg->RegisterCounter("pxq_index_probes_total", &probes_);
   reg->RegisterCounter("pxq_index_path_declines_total", &path_declines_);
-  reg->RegisterCounter("pxq_index_chain_probes_total", &chain_probes_);
+  reg->RegisterCounter("pxq_index_path_probes_total", &path_probes_);
   reg->RegisterCounter("pxq_index_chain_declines_total", &chain_declines_);
+  reg->RegisterCounter("pxq_index_chain_probes_total", &chain_probes_);
   reg->RegisterCounter("pxq_index_child_step_hits_total", &child_step_hits_);
   reg->RegisterCounter("pxq_index_memo_hits_total", &memo_hits_);
   reg->RegisterCounter("pxq_index_memo_misses_total", &memo_misses_);
@@ -1383,29 +1268,107 @@ void IndexManager::RegisterMetrics(obs::MetricsRegistry* reg) const {
   reg->RegisterCounter("pxq_plan_reorders_total", &plan_reorders_);
   reg->RegisterHistogram("pxq_index_apply_dirty_ns", &apply_dirty_ns_);
   reg->RegisterHistogram("pxq_est_error", &est_error_);
-  // Everything Stats() derives (structure sizes, epochs, maintenance
-  // totals) comes out of ONE Stats() walk per snapshot — one writer_mu_
-  // acquisition, mutually consistent values within the group.
+  // Structure sizes, epochs and maintenance totals come out of ONE walk
+  // per snapshot — one writer_mu_ acquisition, mutually consistent
+  // values within the group. The walk runs under writer_mu_ because
+  // publication both swaps and reclaims snapshots, so it must not chase
+  // the raw pointers concurrently with a writer.
   reg->RegisterGroup([this](std::vector<std::pair<std::string, int64_t>>* o) {
-    const IndexStats s = Stats();
-    o->emplace_back("pxq_index_qname_keys", s.qname_keys);
-    o->emplace_back("pxq_index_value_keys", s.value_keys);
-    o->emplace_back("pxq_index_attr_value_keys", s.attr_value_keys);
-    o->emplace_back("pxq_index_path_keys", s.path_keys);
-    o->emplace_back("pxq_index_chain_keys", s.chain_keys);
-    o->emplace_back("pxq_index_postings_entries", s.postings_entries);
-    o->emplace_back("pxq_index_chain_postings", s.chain_postings);
-    o->emplace_back("pxq_index_complex_entries", s.complex_entries);
-    o->emplace_back("pxq_index_node_states", s.node_states);
-    o->emplace_back("pxq_index_bytes", s.bytes);
-    o->emplace_back("pxq_index_build_micros", s.build_micros);
-    o->emplace_back("pxq_index_maintenance_ops", s.maintenance_ops);
-    o->emplace_back("pxq_index_applied_commits", s.applied_commits);
-    o->emplace_back("pxq_index_shards", s.shards);
-    o->emplace_back("pxq_index_publish_epoch", s.publish_epoch);
-    o->emplace_back("pxq_index_structure_epoch", s.structure_epoch);
-    o->emplace_back("pxq_index_stat_keys", s.stat_keys);
-    o->emplace_back("pxq_index_histogram_buckets", s.histogram_buckets);
+    int64_t qname_keys = 0;         // distinct element tags
+    int64_t value_keys = 0;         // distinct (qname, string value) keys
+    int64_t attr_value_keys = 0;    // distinct (attr qname, value) keys
+    int64_t path_keys = 0;          // distinct (parent qname, qname) pairs
+    int64_t chain_keys = 0;         // distinct chain keys of length > 2
+    int64_t postings_entries = 0;   // NodeIds across qname postings
+    int64_t chain_postings = 0;     // NodeIds across length-(>2) chains
+    int64_t complex_entries = 0;    // elements excluded from the value index
+    int64_t bytes = 0;              // rough structure footprint
+    int64_t stat_keys = 0;          // keys with cardinality stats
+    int64_t histogram_buckets = 0;  // non-empty numeric-histogram buckets
+    MutexLock lock(&writer_mu_);
+    for (const auto& [n, st] : node_state_) {
+      bytes += static_cast<int64_t>(sizeof(NodeState)) +
+               static_cast<int64_t>(st.value.size()) +
+               static_cast<int64_t>(st.attrs.size()) * 48;
+    }
+    for (const auto& owned : owned_snaps_) {
+      const ShardSnapshot& snap = *owned;
+      qname_keys += static_cast<int64_t>(snap.postings.size());
+      for (const auto& [qn, p] : snap.postings) {
+        postings_entries += static_cast<int64_t>(p->nodes.size());
+        bytes += static_cast<int64_t>(p->nodes.size()) * 8;
+      }
+      for (const auto& [key, p] : snap.paths) {
+        if (key.len == 2) {
+          path_keys += 1;
+        } else {
+          chain_keys += 1;
+          chain_postings += static_cast<int64_t>(p->nodes.size());
+        }
+        bytes += static_cast<int64_t>(p->nodes.size()) * 8 +
+                 static_cast<int64_t>(sizeof(ChainKey));
+      }
+      // Every posting/path bucket is a stat key (its length IS its
+      // cardinality stat); dictionary keys and owner lists join below.
+      stat_keys += static_cast<int64_t>(snap.postings.size()) +
+                   static_cast<int64_t>(snap.paths.size());
+      for (const auto& [qn, vbp] : snap.values) {
+        const ValueBucket& vb = *vbp;
+        value_keys += static_cast<int64_t>(vb.by_string.size());
+        complex_entries += static_cast<int64_t>(vb.complex_elems.size());
+        stat_keys += static_cast<int64_t>(vb.by_string.size());
+        for (const int64_t c : vb.hist.counts) {
+          if (c > 0) histogram_buckets += 1;
+        }
+        for (const auto& [v, e] : vb.by_string) {
+          bytes += static_cast<int64_t>(v.size()) + 48 +
+                   static_cast<int64_t>(e.nodes.size()) * 8;
+        }
+        bytes += static_cast<int64_t>(vb.by_number.size()) * 48 +
+                 static_cast<int64_t>(vb.complex_elems.size()) * 8;
+      }
+      for (const auto& [qn, abp] : snap.attrs) {
+        const AttrBucket& ab = *abp;
+        attr_value_keys += static_cast<int64_t>(ab.by_string.size());
+        stat_keys += static_cast<int64_t>(ab.by_string.size()) + 1;
+        for (const int64_t c : ab.hist.counts) {
+          if (c > 0) histogram_buckets += 1;
+        }
+        for (const auto& [v, e] : ab.by_string) {
+          bytes += static_cast<int64_t>(v.size()) + 48 +
+                   static_cast<int64_t>(e.nodes.size()) * 8;
+        }
+        bytes += static_cast<int64_t>(ab.by_number.size()) * 48 +
+                 static_cast<int64_t>(ab.owners.size()) * 8;
+      }
+    }
+    o->emplace_back("pxq_index_qname_keys", qname_keys);
+    o->emplace_back("pxq_index_value_keys", value_keys);
+    o->emplace_back("pxq_index_attr_value_keys", attr_value_keys);
+    o->emplace_back("pxq_index_path_keys", path_keys);
+    o->emplace_back("pxq_index_chain_keys", chain_keys);
+    o->emplace_back("pxq_index_postings_entries", postings_entries);
+    o->emplace_back("pxq_index_chain_postings", chain_postings);
+    o->emplace_back("pxq_index_complex_entries", complex_entries);
+    // Reverse-map entries (== live elements).
+    o->emplace_back("pxq_index_node_states",
+                    static_cast<int64_t>(node_state_.size()));
+    o->emplace_back("pxq_index_bytes", bytes);
+    // Duration of the last full Rebuild; dirty nodes re-derived since
+    // it; ApplyDirty calls (one per commit).
+    o->emplace_back("pxq_index_build_micros", build_micros_);
+    o->emplace_back("pxq_index_maintenance_ops", maintenance_ops_);
+    o->emplace_back("pxq_index_applied_commits", applied_commits_);
+    o->emplace_back("pxq_index_shards", nshards_);
+    // Snapshot publications (monotone), and those that shifted pre ranks.
+    o->emplace_back("pxq_index_publish_epoch",
+                    static_cast<int64_t>(
+                        publish_epoch_.load(std::memory_order_acquire)));
+    o->emplace_back("pxq_index_structure_epoch",
+                    static_cast<int64_t>(
+                        structure_epoch_.load(std::memory_order_acquire)));
+    o->emplace_back("pxq_index_stat_keys", stat_keys);
+    o->emplace_back("pxq_index_histogram_buckets", histogram_buckets);
   });
 }
 

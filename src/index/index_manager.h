@@ -139,11 +139,6 @@ struct IndexConfig {
   /// shards mean finer copy-on-write granularity at commit and less
   /// false sharing between concurrent probes of different qnames.
   int shards = 16;
-  /// Memoize value/attribute probe materializations (pre vectors keyed
-  /// by (qname, op, operand-class, operand)). Off = re-collect and
-  /// re-swizzle on every probe, the pre-memo behavior — kept as a knob
-  /// so benchmarks can measure the warm/cold gap directly.
-  bool memo_values = true;
   /// Path-chain key depth k (clamped to [2, 6]): chains of every length
   /// in [2, k] are indexed, so the evaluator's cascade answers a d-step
   /// absolute path in ceil((d-1)/(k-1)) probes instead of d-1. Higher k
@@ -160,54 +155,6 @@ struct IndexConfig {
   /// into the plan-environment fingerprint, so flipping it mid-flight
   /// recompiles rather than mixing plan shapes.
   bool selectivity_planning = true;
-};
-
-struct IndexStats {
-  int64_t qname_keys = 0;        // distinct element tags indexed
-  int64_t value_keys = 0;        // distinct (qname, string value) keys
-  int64_t attr_value_keys = 0;   // distinct (attr qname, value) keys
-  int64_t path_keys = 0;         // distinct (parent qname, qname) pair keys
-  int64_t chain_keys = 0;        // distinct chain keys of length > 2
-  int64_t postings_entries = 0;  // NodeIds across qname postings
-  int64_t chain_postings = 0;    // NodeIds across length-(>2) chain buckets
-  int64_t complex_entries = 0;   // elements excluded from the value index
-  int64_t node_states = 0;       // reverse-map entries (== live elements)
-  int64_t bytes = 0;             // rough structure footprint
-  int64_t build_micros = 0;      // duration of the last full Rebuild
-  int64_t maintenance_ops = 0;   // dirty nodes re-derived since Rebuild
-  int64_t applied_commits = 0;   // ApplyDirty calls (one per commit)
-  int64_t probes = 0;            // planner consultations
-  int64_t probe_hits = 0;        // probes the gate accepted
-  int64_t path_probes = 0;       // path-index pair (length-2) consultations
-  int64_t path_hits = 0;         // accepted pair probes
-  int64_t chain_probes = 0;      // chain (length > 2) consultations
-  int64_t chain_hits = 0;        // accepted chain probes
-  int64_t child_step_hits = 0;   // child-axis name steps answered
-  int64_t memo_hits = 0;         // qname/path materializations from memo
-  int64_t memo_misses = 0;       // ... recomputed (cold or invalidated)
-  int64_t memo_value_hits = 0;   // value/attr probes served from memo
-  int64_t memo_value_misses = 0; // ... recomputed (cold or invalidated)
-  int64_t value_neg_hits = 0;    // warm declines served by the negative
-                                 // cache (no CollectMatches re-run)
-  int64_t cross_check_mismatches = 0;
-  // --- selectivity statistics (cardinality.h) -------------------------
-  int64_t stat_keys = 0;         // distinct keys with cardinality stats
-                                 // (postings + chains + value/attr dict
-                                 // keys + attr owner lists)
-  int64_t histogram_buckets = 0; // non-empty numeric-histogram buckets
-  int64_t estimator_probes = 0;  // cardinality-stat consultations
-  int64_t plan_reorders = 0;     // plans whose op/predicate order the
-                                 // estimator changed vs syntactic
-  // --- plan-cache counters (filled by the Database layer, which owns
-  // the process-wide compiled-plan cache; zero when queried straight
-  // off an IndexManager) ----------------------------------------------
-  int64_t plan_hits = 0;         // queries served from a cached plan
-  int64_t plan_misses = 0;       // cold compiles + epoch-invalidated
-  int64_t plan_evictions = 0;    // LRU capacity evictions
-  // --- snapshot publication counters ---------------------------------
-  int64_t shards = 0;            // configured shard count
-  int64_t publish_epoch = 0;     // snapshot publications, monotone
-  int64_t structure_epoch = 0;   // publications that shifted pre ranks
 };
 
 class IndexManager {
@@ -344,8 +291,6 @@ class IndexManager {
   /// Planner bookkeeping: a child-axis name step answered from postings.
   void NoteChildStepHit() const { child_step_hits_.Inc(); }
 
-  IndexStats Stats() const;
-
   /// Total probes issued across every family (qname + pair + chain).
   /// The executor reads this before/after an operator when tracing, so
   /// a profile attributes probes to the operator that issued them.
@@ -353,13 +298,14 @@ class IndexManager {
     return probes_.Value() + path_probes_.Value() + chain_probes_.Value();
   }
 
-  /// Latency of commit-side index maintenance (ApplyDirty, ns).
-  const obs::Histogram& apply_dirty_hist() const { return apply_dirty_ns_; }
-
-  /// Expose this index's counters and histograms through a registry.
-  /// The registry holds REFERENCES to the same atomics the probe paths
-  /// bump (no translation layer, no second source of truth); derived
-  /// values (structure sizes, epochs) register as one Stats() group.
+  /// Expose this index's counters and histograms through a registry —
+  /// the index's only stats surface. The registry holds REFERENCES to
+  /// the same atomics the probe paths bump; structure sizes, epochs and
+  /// maintenance totals register as one group computed by a single
+  /// writer_mu_ walk per snapshot. Each family's declines counter is
+  /// registered before its probes counter: snapshots read in
+  /// registration order and a probe bumps probes first, so
+  /// 0 <= probes - declines <= probes holds in every snapshot.
   void RegisterMetrics(obs::MetricsRegistry* reg) const;
 
  private:
@@ -627,8 +573,8 @@ class IndexManager {
     return shards_[shard].snap.load(std::memory_order_acquire);
   }
 
-  // Writer helpers: REQUIRES(writer_mu_) — callers (Rebuild/ApplyDirty/
-  // Stats) must hold the writer lock, and the analysis proves they do.
+  // Writer helpers: REQUIRES(writer_mu_) — callers (Rebuild/ApplyDirty)
+  // must hold the writer lock, and the analysis proves they do.
   ShardBuilder& BuilderFor(std::vector<ShardBuilder>& bs, QnameId qn)
       PXQ_REQUIRES(writer_mu_);
   Postings* MutablePostings(std::vector<ShardBuilder>& bs, QnameId qn)
@@ -729,8 +675,9 @@ class IndexManager {
   std::unique_ptr<Shard[]> shards_;
 
   /// Serializes writers (Rebuild vs direct test callers; commits are
-  /// already exclusive) and guards the writer-only state below. Stats()
-  /// takes it too (it walks the owned snapshots); probes never do.
+  /// already exclusive) and guards the writer-only state below. The
+  /// metrics group takes it too (it walks the owned snapshots); probes
+  /// never do.
   mutable Mutex writer_mu_;
   /// Owning references for the raw pointers published in shards_;
   /// replaced (and thereby reclaimed) at publication, when the
@@ -750,8 +697,8 @@ class IndexManager {
   // Hot-path counters are padded to their own cache lines and bumped
   // with relaxed atomics — probes are lock-free and concurrent, so a
   // plain increment here would be a data race (TSan-visible), not just
-  // a lost count. Hits are derived in Stats() as probes - declines so
-  // the hit path pays no second increment.
+  // a lost count. Hits are not stored: consumers derive them as
+  // probes - declines, so the hit path pays no second increment.
   PaddedCounter probes_;
   PaddedCounter probe_declines_;
   PaddedCounter path_probes_;

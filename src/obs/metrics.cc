@@ -149,7 +149,7 @@ std::string MetricsSnapshot::ToPrometheus() const {
 
 MetricsRegistry::Entry* MetricsRegistry::Find(const std::string& name) {
   for (Entry& e : entries_) {
-    if (e.name == name) return &e;
+    if (!e.group && e.name == name) return &e;
   }
   return nullptr;
 }
@@ -230,14 +230,30 @@ void MetricsRegistry::RegisterCallback(const std::string& name,
 
 void MetricsRegistry::RegisterGroup(Group fn) {
   MutexLock lock(&mu_);
-  groups_.push_back(std::move(fn));
+  Entry e;
+  e.kind = MetricKind::kGauge;
+  e.group = std::move(fn);
+  entries_.push_back(std::move(e));
 }
 
 MetricsSnapshot MetricsRegistry::Snapshot() const {
   MetricsSnapshot snap;
   MutexLock lock(&mu_);
   snap.values.reserve(entries_.size());
+  // Registration order is the read order (the Snapshot() contract).
   for (const Entry& e : entries_) {
+    if (e.group) {
+      std::vector<std::pair<std::string, int64_t>> vals;
+      e.group(&vals);
+      for (auto& [name, value] : vals) {
+        MetricsSnapshot::Value v;
+        v.name = std::move(name);
+        v.kind = MetricKind::kGauge;
+        v.value = value;
+        snap.values.push_back(std::move(v));
+      }
+      continue;
+    }
     MetricsSnapshot::Value v;
     v.name = e.name;
     v.kind = e.kind;
@@ -253,17 +269,6 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
         break;
     }
     snap.values.push_back(std::move(v));
-  }
-  for (const Group& g : groups_) {
-    std::vector<std::pair<std::string, int64_t>> vals;
-    g(&vals);
-    for (auto& [name, value] : vals) {
-      MetricsSnapshot::Value v;
-      v.name = std::move(name);
-      v.kind = MetricKind::kGauge;
-      v.value = value;
-      snap.values.push_back(std::move(v));
-    }
   }
   std::sort(snap.values.begin(), snap.values.end(),
             [](const auto& a, const auto& b) { return a.name < b.name; });

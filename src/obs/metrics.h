@@ -23,17 +23,20 @@
 // hot path stays a member-atomic increment, identical to before — and
 // the registry exposes those same objects, so Database::Metrics(),
 // `xq stats --json`, and the Prometheus exposition all read the ONE
-// authoritative set of atomics. Derived or mutex-guarded values
-// (PlanCache::Stats, GlobalLock::Stats, index structure sizes) register
-// as callbacks: RegisterCallback for a single value, RegisterGroup for
-// a family computed in one pass (e.g. everything IndexManager::Stats()
-// derives from one walk) so a snapshot never takes the same lock twice.
+// authoritative set of atomics. The registry is the ONLY stats read
+// path: no subsystem keeps a typed stats struct beside it. Derived or
+// mutex-guarded values (plan-cache hit/miss, lock counters, index
+// structure sizes) register as callbacks: RegisterCallback for a single
+// value, RegisterGroup for a family computed in one pass (e.g. the
+// index's one structure walk) so a snapshot never takes the same lock
+// twice.
 //
 // Registration is mutex-guarded and expected at construction/attach
 // time; Snapshot()/PrometheusText() take the same mutex, then read the
 // atomics relaxed — a snapshot is a consistent *catalog*, and each
 // counter value is exact, but cross-counter skew is inherent (the hot
-// paths are deliberately unsynchronized).
+// paths are deliberately unsynchronized). The one ordering a snapshot
+// does promise is its read order — see Snapshot().
 #ifndef PXQ_OBS_METRICS_H_
 #define PXQ_OBS_METRICS_H_
 
@@ -210,25 +213,34 @@ class MetricsRegistry {
   /// A single gauge computed on demand.
   void RegisterCallback(const std::string& name,
                         std::function<int64_t()> fn);
-  /// A family of gauges computed in ONE pass (e.g. everything derived
-  /// from one IndexManager::Stats() walk or one PlanCache::Stats copy).
+  /// A family of gauges computed in ONE pass (e.g. the index's one
+  /// structure walk, or the plan cache's counters under one lock).
   using Group =
       std::function<void(std::vector<std::pair<std::string, int64_t>>*)>;
   void RegisterGroup(Group fn);
 
+  /// Contract: entries (counters, gauges, callbacks, histograms and
+  /// groups alike) are READ IN REGISTRATION ORDER. A component whose
+  /// counters obey an invariant under a known increment order relies on
+  /// it: register the counter bumped LAST first (e.g. an index family's
+  /// declines before its probes — a probe bumps probes, then maybe
+  /// declines — so declines <= probes in every snapshot). The returned
+  /// values are sorted by name; the order is only the read order.
   MetricsSnapshot Snapshot() const;
   std::string PrometheusText() const { return Snapshot().ToPrometheus(); }
 
+  /// Registrations so far; a group counts as one.
   size_t MetricCount() const;
 
  private:
   struct Entry {
-    std::string name;
+    std::string name;  // empty for a group
     MetricKind kind;
     const Counter* counter = nullptr;
     const Gauge* gauge = nullptr;
     const Histogram* histogram = nullptr;
     std::function<int64_t()> fn;  // callback gauge
+    Group group;                  // gauge family (kind kGauge)
   };
 
   Entry* Find(const std::string& name) PXQ_REQUIRES(mu_);
@@ -241,8 +253,8 @@ class MetricsRegistry {
   std::deque<Counter> owned_counters_ PXQ_GUARDED_BY(mu_);
   std::deque<Gauge> owned_gauges_ PXQ_GUARDED_BY(mu_);
   std::deque<Histogram> owned_histograms_ PXQ_GUARDED_BY(mu_);
+  /// Every registration, in registration order (the read order).
   std::vector<Entry> entries_ PXQ_GUARDED_BY(mu_);
-  std::vector<Group> groups_ PXQ_GUARDED_BY(mu_);
 };
 
 }  // namespace pxq::obs

@@ -35,6 +35,15 @@ void PageLockManager::ReleaseAll(TxnId owner) {
   cv_.NotifyAll();
 }
 
+void PageLockManager::Transfer(TxnId from, TxnId to) {
+  MutexLock lock(&mu_);
+  auto node = held_.extract(from);
+  if (node.empty()) return;
+  for (PageId p : node.mapped()) owner_of_[p] = to;
+  node.key() = to;
+  held_.insert(std::move(node));
+}
+
 std::unordered_set<PageId> PageLockManager::HeldBy(TxnId owner) const {
   MutexLock lock(&mu_);
   auto it = held_.find(owner);

@@ -49,6 +49,10 @@ class PageLockManager {
   /// Release every page lock held by `owner` (commit/abort).
   void ReleaseAll(TxnId owner) PXQ_EXCLUDES(mu_);
 
+  /// Hand every page lock held by `from` to `to` (which holds none):
+  /// the pages never become free in between.
+  void Transfer(TxnId from, TxnId to) PXQ_EXCLUDES(mu_);
+
   /// Pages currently locked by `owner` (tests).
   std::unordered_set<PageId> HeldBy(TxnId owner) const PXQ_EXCLUDES(mu_);
 
@@ -117,30 +121,6 @@ class PXQ_CAPABILITY("GlobalLock") GlobalLock {
     while (n < want) n <<= 1;
     slot_mask_ = n - 1;
   }
-
-  /// Acquire-contention counters (see stats()): `*_waits` counts
-  /// acquires that found the lock unavailable and blocked, `*_acquires`
-  /// every acquire. reader_waits stays ~0 unless a writer-intent window
-  /// is open — readers no longer contend with each other at all.
-  struct Stats {
-    int64_t reader_acquires = 0;
-    int64_t reader_waits = 0;
-    int64_t writer_acquires = 0;
-    int64_t writer_waits = 0;
-    /// Total ns spent blocked (the `*_waits` acquires only); the full
-    /// distributions live in the wait histograms below.
-    int64_t reader_wait_ns = 0;
-    int64_t writer_wait_ns = 0;
-    /// Shared acquires whose hashed slot was taken by another thread
-    /// (fell back to the overflow counter's shared cache line).
-    int64_t slot_collisions = 0;
-    /// UnlockShared wakeups sent to a draining writer. Zero while no
-    /// writer is active — the old design broadcast on every last-reader
-    /// exit regardless.
-    int64_t drain_notifies = 0;
-    /// Configured slot count (after rounding/clamping).
-    int32_t reader_slots = 0;
-  };
 
   /// Registers this thread as a reader and returns the slot token to
   /// hand back to UnlockShared (kOverflowSlot when the hashed slot
@@ -227,26 +207,33 @@ class PXQ_CAPABILITY("GlobalLock") GlobalLock {
     }
   }
 
-  Stats stats() const {
-    // Lock-free counters: read the waits before the acquires so
-    // waits <= acquires holds within one snapshot.
-    Stats s;
-    s.reader_waits = reader_waits_.Value();
-    s.writer_waits = writer_waits_.Value();
-    s.slot_collisions = slot_collisions_.Value();
-    s.drain_notifies = drain_notifies_.Value();
-    s.reader_wait_ns = reader_wait_ns_.Sum();
-    s.writer_wait_ns = writer_wait_ns_.Sum();
-    s.reader_acquires = reader_acquires_.Value();
-    s.writer_acquires = writer_acquires_.Value();
-    s.reader_slots = slot_mask_ + 1;
-    return s;
+  /// Expose acquire/contention metrics through a registry: the wait
+  /// histograms (ns per BLOCKED acquire — uncontended acquires are not
+  /// recorded; the waits counters give the ratio) by reference, and one
+  /// group over the counters. `*_waits` counts acquires that found the
+  /// lock unavailable and blocked, `*_acquires` every acquire;
+  /// reader_waits stays ~0 unless a writer-intent window is open.
+  /// `slot_collisions` counts shared acquires whose hashed slot was
+  /// taken (overflow fallback), `drain_notifies` UnlockShared wakeups
+  /// sent to a draining writer, and `reader_slots` is the configured
+  /// slot count after rounding/clamping.
+  void RegisterMetrics(obs::MetricsRegistry* reg) const {
+    reg->RegisterHistogram("pxq_lock_reader_wait_ns", &reader_wait_ns_);
+    reg->RegisterHistogram("pxq_lock_writer_wait_ns", &writer_wait_ns_);
+    reg->RegisterGroup([this](std::vector<std::pair<std::string, int64_t>>* o) {
+      // Lock-free counters: read the waits before the acquires so
+      // waits <= acquires holds within one snapshot.
+      const int64_t reader_waits = reader_waits_.Value();
+      const int64_t writer_waits = writer_waits_.Value();
+      o->emplace_back("pxq_lock_reader_acquires", reader_acquires_.Value());
+      o->emplace_back("pxq_lock_reader_waits", reader_waits);
+      o->emplace_back("pxq_lock_writer_acquires", writer_acquires_.Value());
+      o->emplace_back("pxq_lock_writer_waits", writer_waits);
+      o->emplace_back("pxq_lock_slot_collisions", slot_collisions_.Value());
+      o->emplace_back("pxq_lock_drain_notifies", drain_notifies_.Value());
+      o->emplace_back("pxq_lock_reader_slots", slot_mask_ + 1);
+    });
   }
-
-  /// Wait-time distributions (ns per BLOCKED acquire; uncontended
-  /// acquires are not recorded — the waits counters give the ratio).
-  const obs::Histogram& reader_wait_hist() const { return reader_wait_ns_; }
-  const obs::Histogram& writer_wait_hist() const { return writer_wait_ns_; }
 
   /// RAII reader guard for query execution; carries the slot token.
   class PXQ_SCOPED_CAPABILITY ReadGuard {

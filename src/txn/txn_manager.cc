@@ -60,6 +60,21 @@ StatusOr<std::unique_ptr<Transaction>> TransactionManager::Begin() {
   return txn;
 }
 
+StatusOr<std::unique_ptr<Transaction>> TransactionManager::Retry(
+    std::unique_ptr<Transaction> failed) {
+  if (!failed->lost_page_race_) {
+    failed->Abort().ok();
+    return Begin();
+  }
+  // Begin while `failed` still holds its locks: the contested page's
+  // winner committed before releasing it, so this snapshot includes
+  // that commit, and the hand-off keeps every page locked throughout.
+  PXQ_ASSIGN_OR_RETURN(std::unique_ptr<Transaction> next, Begin());
+  page_locks_.Transfer(failed->id(), next->id());
+  failed->Abort().ok();
+  return next;
+}
+
 Status TransactionManager::OnFirstPageWrite(Transaction* txn, PageId page) {
   // Incremental strict-2PL acquisition (Fig. 8: "write-lock all pages
   // that need to be updated ... incrementally").
@@ -75,6 +90,7 @@ Status TransactionManager::OnFirstPageWrite(Transaction* txn, PageId page) {
   if (it != page_version_.end() && it->second > txn->snapshot_lsn()) {
     txn->poisoned_ = Status::Conflict(
         "page was structurally modified by a newer commit");
+    txn->lost_page_race_ = true;
     return txn->poisoned_;
   }
   return Status::OK();
@@ -304,23 +320,9 @@ void TransactionManager::EndTransaction(Transaction* txn) {
 void TransactionManager::RegisterMetrics(obs::MetricsRegistry* reg) const {
   reg->RegisterHistogram("pxq_commit_window_ns", &commit_window_ns_);
   reg->RegisterHistogram("pxq_checkpoint_ns", &checkpoint_ns_);
-  reg->RegisterHistogram("pxq_lock_reader_wait_ns",
-                         &global_.reader_wait_hist());
-  reg->RegisterHistogram("pxq_lock_writer_wait_ns",
-                         &global_.writer_wait_hist());
+  global_.RegisterMetrics(reg);
   reg->RegisterHistogram("pxq_commits_per_group", &commits_per_group_);
   reg->RegisterCounter("pxq_group_commits", &group_commits_);
-  // One stats() copy per snapshot: stats() reads waits before acquires,
-  // so waits <= acquires holds within the group.
-  reg->RegisterGroup([this](std::vector<std::pair<std::string, int64_t>>* o) {
-    const GlobalLock::Stats s = global_.stats();
-    o->emplace_back("pxq_lock_reader_acquires", s.reader_acquires);
-    o->emplace_back("pxq_lock_reader_waits", s.reader_waits);
-    o->emplace_back("pxq_lock_writer_acquires", s.writer_acquires);
-    o->emplace_back("pxq_lock_writer_waits", s.writer_waits);
-    o->emplace_back("pxq_lock_slot_collisions", s.slot_collisions);
-    o->emplace_back("pxq_lock_drain_notifies", s.drain_notifies);
-  });
   if (wal_ != nullptr) {
     reg->RegisterHistogram("pxq_wal_append_ns", &wal_->append_hist());
     reg->RegisterCounter("pxq_wal_appended_bytes_total",

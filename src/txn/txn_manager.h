@@ -86,6 +86,18 @@ class TransactionManager {
   /// Start a write transaction.
   StatusOr<std::unique_ptr<Transaction>> Begin();
 
+  /// Restart `failed` (unfinished, its work to be discarded) as a fresh
+  /// transaction. When `failed` lost a first-updater-wins race it
+  /// already holds the contested page's lock, taken after the winner
+  /// committed; the new transaction begins (its snapshot includes that
+  /// commit) and takes over every page lock `failed` held before
+  /// `failed` ends, so no other commit can reach those pages in
+  /// between and the retry cannot lose them again. Any other failure
+  /// (e.g. a page-lock timeout) releases the locks as Abort() would, so
+  /// deadlock resolution still frees them.
+  StatusOr<std::unique_ptr<Transaction>> Retry(
+      std::unique_ptr<Transaction> failed);
+
   /// Run a read-only function under the global shared lock:
   /// fn(const storage::PagedStore&).
   template <typename F>
@@ -128,35 +140,14 @@ class TransactionManager {
 
   /// Durability status (for the `xq stats` durability line).
   bool durable() const { return wal_ != nullptr; }
-  /// Commits currently sitting in the WAL (0 when not durable).
-  int64_t wal_commits() const {
-    return wal_ != nullptr ? wal_->commit_count() : 0;
-  }
-  /// Checkpoint latency/count: one Record per Checkpoint() call, i.e.
-  /// one full-exclusive-window stall each.
-  const obs::Histogram& checkpoint_hist() const { return checkpoint_ns_; }
 
-  /// Global-lock acquire/contention counters (reader vs writer waits,
-  /// slot collisions, drain wakeups).
-  GlobalLock::Stats lock_stats() const { return global_.stats(); }
-
-  /// Latency of the exclusive commit window (ns from LockExclusive to
-  /// UnlockExclusive on successful commits: WAL append + oplog replay +
-  /// size resolution + index publish). One record per BATCH under group
-  /// commit.
-  const obs::Histogram& commit_window_hist() const {
-    return commit_window_ns_;
-  }
-
-  /// Group-commit effectiveness: batches led (one WAL fsync each) and
-  /// the distribution of commits folded into each batch.
-  int64_t group_commits() const { return group_commits_.Value(); }
-  const obs::Histogram& commits_per_group_hist() const {
-    return commits_per_group_;
-  }
-
-  /// Expose lock contention (wait-time histograms + acquire counters),
-  /// the commit window, and WAL append metrics through a registry.
+  /// Expose through a registry: lock contention (wait-time histograms +
+  /// acquire counters), the commit window (pxq_commit_window_ns:
+  /// LockExclusive to UnlockExclusive, one record per group-commit
+  /// batch), checkpoints (pxq_checkpoint_ns: one full read+write stall
+  /// each), group-commit effectiveness (pxq_group_commits: batches led,
+  /// one WAL fsync each; pxq_commits_per_group: commits folded into each
+  /// batch), and WAL append metrics.
   void RegisterMetrics(obs::MetricsRegistry* reg) const;
 
  private:
@@ -268,6 +259,9 @@ class Transaction {
   storage::ContentPools::PoolSizes pool_begin_;
   bool finished_ = false;
   Status poisoned_ = Status::OK();  // set when a page hook failed
+  /// The poison is a first-updater-wins loss (the page lock is held);
+  /// Retry() hands this transaction's page locks to its successor.
+  bool lost_page_race_ = false;
 };
 
 }  // namespace pxq::txn

@@ -9,7 +9,7 @@ std::shared_ptr<const Plan> PlanCache::Lookup(std::string_view text,
   MutexLock lock(&mu_);
   auto it = map_.find(text);
   if (it == map_.end()) {
-    ++stats_.misses;
+    ++misses_;
     return nullptr;
   }
   const Plan& plan = *it->second.plan;
@@ -21,11 +21,11 @@ std::shared_ptr<const Plan> PlanCache::Lookup(std::string_view text,
     // Epoch-invalidated: the caller recompiles and re-inserts.
     lru_.erase(it->second.lru_it);
     map_.erase(it);
-    ++stats_.misses;
+    ++misses_;
     return nullptr;
   }
   lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-  ++stats_.hits;
+  ++hits_;
   return it->second.plan;
 }
 
@@ -42,36 +42,20 @@ void PlanCache::Insert(std::string_view text,
   while (map_.size() >= capacity_ && !lru_.empty()) {
     map_.erase(lru_.back());
     lru_.pop_back();
-    ++stats_.evictions;
+    ++evictions_;
   }
   lru_.emplace_front(text);
   map_.emplace(lru_.front(), Entry{std::move(plan), lru_.begin()});
 }
 
-PlanCache::Stats PlanCache::stats() const {
-  MutexLock lock(&mu_);
-  return stats_;
-}
-
-size_t PlanCache::size() const {
-  MutexLock lock(&mu_);
-  return map_.size();
-}
-
-void PlanCache::Clear() {
-  MutexLock lock(&mu_);
-  map_.clear();
-  lru_.clear();
-}
-
 void PlanCache::RegisterMetrics(obs::MetricsRegistry* reg) const {
   reg->RegisterHistogram("pxq_plan_compile_ns", &compile_ns_);
   reg->RegisterGroup([this](std::vector<std::pair<std::string, int64_t>>* o) {
-    const Stats s = stats();
-    o->emplace_back("pxq_plan_cache_hits", s.hits);
-    o->emplace_back("pxq_plan_cache_misses", s.misses);
-    o->emplace_back("pxq_plan_cache_evictions", s.evictions);
-    o->emplace_back("pxq_plan_cache_size", static_cast<int64_t>(size()));
+    MutexLock lock(&mu_);
+    o->emplace_back("pxq_plan_cache_hits", hits_);
+    o->emplace_back("pxq_plan_cache_misses", misses_);
+    o->emplace_back("pxq_plan_cache_evictions", evictions_);
+    o->emplace_back("pxq_plan_cache_size", static_cast<int64_t>(map_.size()));
   });
 }
 

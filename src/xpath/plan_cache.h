@@ -30,12 +30,6 @@ namespace pxq::xpath {
 
 class PlanCache {
  public:
-  struct Stats {
-    int64_t hits = 0;
-    int64_t misses = 0;     // cold lookups AND stale-entry recompiles
-    int64_t evictions = 0;  // capacity (LRU) evictions
-  };
-
   explicit PlanCache(size_t capacity = 512) : capacity_(capacity) {}
   PlanCache(const PlanCache&) = delete;
   PlanCache& operator=(const PlanCache&) = delete;
@@ -53,19 +47,15 @@ class PlanCache {
 
   void Insert(std::string_view text, std::shared_ptr<const Plan> plan);
 
-  Stats stats() const;
-  size_t size() const;
-  void Clear();
-
   /// Record one compilation's wall-time (misses only — hits never
   /// compile). Called by the Evaluator after CompileText.
   void RecordCompile(int64_t ns) { compile_ns_.Record(ns); }
-  const obs::Histogram& compile_hist() const { return compile_ns_; }
 
-  /// Expose the cache through a registry: the compile-time histogram by
-  /// reference, hit/miss/eviction/size as one mutex-coherent group (one
-  /// stats() copy per snapshot — hits + misses always equals the number
-  /// of completed lookups).
+  /// Expose the cache through a registry — its only stats surface: the
+  /// compile-time histogram by reference, and hits / misses (cold
+  /// lookups AND stale-entry recompiles) / evictions (capacity, LRU) /
+  /// size as one group read under ONE mu_ acquisition, so hits + misses
+  /// always equals the number of completed lookups.
   void RegisterMetrics(obs::MetricsRegistry* reg) const;
 
  private:
@@ -86,7 +76,9 @@ class PlanCache {
   std::list<std::string> lru_ PXQ_GUARDED_BY(mu_);  // front = most recent
   std::unordered_map<std::string, Entry, StringHash, std::equal_to<>> map_
       PXQ_GUARDED_BY(mu_);
-  Stats stats_ PXQ_GUARDED_BY(mu_);
+  int64_t hits_ PXQ_GUARDED_BY(mu_) = 0;
+  int64_t misses_ PXQ_GUARDED_BY(mu_) = 0;
+  int64_t evictions_ PXQ_GUARDED_BY(mu_) = 0;
   /// Compile wall-time (ns); recorded outside mu_ (lock-free histogram).
   obs::Histogram compile_ns_;
 };

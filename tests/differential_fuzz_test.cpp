@@ -167,24 +167,23 @@ class Fuzzer {
       }
     }
     VerifyPool("final", /*full=*/true);
-    const auto stats = db_->IndexStats();
-    EXPECT_EQ(stats.cross_check_mismatches, 0) << Where("final");
+    const auto stats = db_->Metrics();
+    EXPECT_EQ(stats.ValueOf("pxq_index_cross_check_mismatches_total"), 0)
+        << Where("final");
     // The workload must have exercised the machinery it pins: chain
     // cascades (only at k > 2 — the pairwise configuration has no
     // chain buckets), pair tails, value/attr probes, and commits.
     if (EnvInt("PXQ_PATH_CHAIN_DEPTH", 3) > 2) {
-      EXPECT_GT(stats.chain_probes, 0);
+      EXPECT_GT(stats.ValueOf("pxq_index_chain_probes_total"), 0);
     } else {
-      EXPECT_GT(stats.path_probes, 0);
+      EXPECT_GT(stats.ValueOf("pxq_index_path_probes_total"), 0);
     }
-    EXPECT_GT(stats.probes, 0);
-    EXPECT_GT(stats.applied_commits, 0);
+    EXPECT_GT(stats.ValueOf("pxq_index_probes_total"), 0);
+    EXPECT_GT(stats.ValueOf("pxq_index_applied_commits"), 0);
     // Selectivity planning was live: at least one plan in the pool was
     // reshaped by estimates (and still never diverged from reference).
-    if (EnvInt("PXQ_SELECTIVITY_PLANNING", 1) != 0) {
-      EXPECT_GT(stats.plan_reorders, 0);
-      EXPECT_GT(stats.estimator_probes, 0);
-    }
+    EXPECT_GT(stats.ValueOf("pxq_plan_reorders_total"), 0);
+    EXPECT_GT(stats.ValueOf("pxq_estimator_probes_total"), 0);
     EXPECT_GT(commits, 0);
     EXPECT_GT(aborts, 0);
     EXPECT_GT(queries, 0);
@@ -192,8 +191,8 @@ class Fuzzer {
     // plan cache enabled: the repeated pool must produce warm hits,
     // and rename flips (interning zonex/areax/personx) force pool-
     // generation recompiles of the tainted plans along the way.
-    EXPECT_GT(stats.plan_hits, 0);
-    EXPECT_GT(stats.plan_misses, 0);
+    EXPECT_GT(stats.ValueOf("pxq_plan_cache_hits"), 0);
+    EXPECT_GT(stats.ValueOf("pxq_plan_cache_misses"), 0);
   }
 
  private:
@@ -529,10 +528,10 @@ TEST(DifferentialFuzzTest, ConcurrentReadersVsGroupCommitters) {
   // inside Update).
   EXPECT_LT(commit_errors.load(),
             int64_t{kWriters} * commits_per_writer / 2);
-  const auto stats = db->IndexStats();
-  EXPECT_EQ(stats.cross_check_mismatches, 0);
-  EXPECT_GT(stats.applied_commits, 0);
-  EXPECT_GT(db->txn_manager().group_commits(), 0);
+  const auto stats = db->Metrics();
+  EXPECT_EQ(stats.ValueOf("pxq_index_cross_check_mismatches_total"), 0);
+  EXPECT_GT(stats.ValueOf("pxq_index_applied_commits"), 0);
+  EXPECT_GT(stats.ValueOf("pxq_group_commits"), 0);
   // Single-threaded closing sweep: the final state is exact.
   for (const char* q : kQueries) check_one(q);
   EXPECT_EQ(divergences.load(), 0)

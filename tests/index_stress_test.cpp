@@ -6,7 +6,7 @@
 //   (a) no torn reads — cross-check mode re-runs every accepted probe
 //       on the scan path inside the same shared-lock section, so a
 //       probe observing a half-published snapshot fails the query;
-//   (b) epochs are monotone — a monitor thread samples IndexStats()
+//   (b) epochs are monotone — a monitor thread samples Metrics()
 //       concurrently with commits and checks publish/structure epochs
 //       never move backwards;
 //   (c) zero cross-check mismatches and an exact final document.
@@ -63,7 +63,7 @@ int main() {
   CHECK(db_or.ok());
   auto db = std::move(db_or).value();
 
-  const auto initial = db->IndexStats();
+  const auto initial = db->Metrics();
   std::atomic<bool> stop{false};
   std::atomic<int64_t> reads{0};
   std::atomic<int64_t> overlapped_reads{0};
@@ -165,19 +165,22 @@ int main() {
   threads.emplace_back([&] {
     int64_t last_publish = 0, last_structure = 0;
     while (!stop.load(std::memory_order_acquire)) {
-      auto s = db->IndexStats();
-      if (s.publish_epoch < last_publish ||
-          s.structure_epoch < last_structure) {
+      auto s = db->Metrics();
+      const int64_t publish = s.ValueOf("pxq_index_publish_epoch");
+      const int64_t structure = s.ValueOf("pxq_index_structure_epoch");
+      if (publish < last_publish || structure < last_structure) {
         std::fprintf(stderr, "epoch went backwards: %lld<%lld / %lld<%lld\n",
-                     static_cast<long long>(s.publish_epoch),
+                     static_cast<long long>(publish),
                      static_cast<long long>(last_publish),
-                     static_cast<long long>(s.structure_epoch),
+                     static_cast<long long>(structure),
                      static_cast<long long>(last_structure));
         ++failures;
       }
-      last_publish = s.publish_epoch;
-      last_structure = s.structure_epoch;
-      if (s.cross_check_mismatches != 0) ++failures;
+      last_publish = publish;
+      last_structure = structure;
+      if (s.ValueOf("pxq_index_cross_check_mismatches_total") != 0) {
+        ++failures;
+      }
     }
   });
 
@@ -185,17 +188,19 @@ int main() {
   stop.store(true, std::memory_order_release);
   for (size_t t = kWriters; t < threads.size(); ++t) threads[t].join();
 
-  const auto final_stats = db->IndexStats();
+  const auto final_stats = db->Metrics();
+  auto grew = [&](const char* name) {
+    return final_stats.ValueOf(name) - initial.ValueOf(name);
+  };
   CHECK(failures.load() == 0);
-  CHECK(final_stats.cross_check_mismatches == 0);
-  CHECK(final_stats.publish_epoch > initial.publish_epoch);
-  CHECK(final_stats.applied_commits > 0);
+  CHECK(final_stats.ValueOf("pxq_index_cross_check_mismatches_total") == 0);
+  CHECK(grew("pxq_index_publish_epoch") > 0);
+  CHECK(final_stats.ValueOf("pxq_index_applied_commits") > 0);
   // The barrier guarantees commits ran while readers were probing.
   CHECK(overlapped_reads.load() > 0);
   // Value-only commits happened, so some publications must NOT have
   // bumped the structure epoch (incremental memo retention at work).
-  CHECK(final_stats.structure_epoch - initial.structure_epoch <
-        final_stats.publish_epoch - initial.publish_epoch);
+  CHECK(grew("pxq_index_structure_epoch") < grew("pxq_index_publish_epoch"));
 
   // Final exactness: index answers equal a fresh scan for every shape.
   for (const char* q : {"//item", "/r/list/item/v", "//item[@k>=0]"}) {
@@ -211,7 +216,7 @@ int main() {
   const char* warm_queries[] = {"//item[v='9']", "//item[@k>500]",
                                 "//aux[tag='x']"};
   for (const char* q : warm_queries) CHECK(db->Query(q).ok());
-  const auto warmed = db->IndexStats();
+  const auto warmed = db->Metrics();
   for (int i = 0; i < 30; ++i) {
     auto txn = db->Begin();
     CHECK(txn.ok());
@@ -222,11 +227,14 @@ int main() {
     CHECK(txn.value()->Abort().ok());
   }
   for (const char* q : warm_queries) CHECK(db->Query(q).ok());
-  const auto rewarmed = db->IndexStats();
-  CHECK(rewarmed.publish_epoch == warmed.publish_epoch);
-  CHECK(rewarmed.memo_value_misses == warmed.memo_value_misses);
-  CHECK(rewarmed.memo_value_hits > warmed.memo_value_hits);
-  CHECK(rewarmed.cross_check_mismatches == 0);
+  const auto rewarmed = db->Metrics();
+  auto regrew = [&](const char* name) {
+    return rewarmed.ValueOf(name) - warmed.ValueOf(name);
+  };
+  CHECK(regrew("pxq_index_publish_epoch") == 0);
+  CHECK(regrew("pxq_index_memo_value_misses_total") == 0);
+  CHECK(regrew("pxq_index_memo_value_hits_total") > 0);
+  CHECK(rewarmed.ValueOf("pxq_index_cross_check_mismatches_total") == 0);
 
   std::printf(
       "stress OK: %lld reads (%lld overlapping commits), %lld commits, "
@@ -235,12 +243,13 @@ int main() {
       "%lld value-memo hits\n",
       static_cast<long long>(reads.load()),
       static_cast<long long>(overlapped_reads.load()),
-      static_cast<long long>(rewarmed.applied_commits),
-      static_cast<long long>(initial.publish_epoch),
-      static_cast<long long>(rewarmed.publish_epoch),
-      static_cast<long long>(initial.structure_epoch),
-      static_cast<long long>(rewarmed.structure_epoch),
-      static_cast<long long>(rewarmed.memo_hits),
-      static_cast<long long>(rewarmed.memo_value_hits));
+      static_cast<long long>(rewarmed.ValueOf("pxq_index_applied_commits")),
+      static_cast<long long>(initial.ValueOf("pxq_index_publish_epoch")),
+      static_cast<long long>(rewarmed.ValueOf("pxq_index_publish_epoch")),
+      static_cast<long long>(initial.ValueOf("pxq_index_structure_epoch")),
+      static_cast<long long>(rewarmed.ValueOf("pxq_index_structure_epoch")),
+      static_cast<long long>(rewarmed.ValueOf("pxq_index_memo_hits_total")),
+      static_cast<long long>(
+          rewarmed.ValueOf("pxq_index_memo_value_hits_total")));
   return 0;
 }

@@ -22,6 +22,7 @@
 #include "database.h"
 #include "index/cardinality.h"
 #include "index/index_manager.h"
+#include "obs/metrics.h"
 #include "storage/paged_store.h"
 #include "storage/shredder.h"
 #include "xmark/generator.h"
@@ -35,6 +36,15 @@ namespace {
 using xpath::CmpOp;
 using xpath::detail::CompareValues;
 using xpath::detail::ParseNumber;
+
+/// Metrics of a component driven without a Database (IndexManager,
+/// PlanCache, ...): registered into a local registry and snapshotted.
+template <typename Component>
+obs::MetricsSnapshot MetricsOf(const Component& c) {
+  obs::MetricsRegistry reg;
+  c.RegisterMetrics(&reg);
+  return reg.Snapshot();
+}
 
 // ---------------------------------------------------------------------------
 // Satellite regressions: strict number grammar + lexicographic fallback
@@ -269,10 +279,10 @@ TEST(IndexManagerTest, PathPairProbeMatchesScan) {
   ASSERT_NE(none, nullptr);
   EXPECT_TRUE(none->empty());
 
-  auto s = idx.Stats();
-  EXPECT_EQ(s.path_probes, 3);
-  EXPECT_EQ(s.path_hits, 3);
-  EXPECT_GT(s.path_keys, 0);
+  auto s = MetricsOf(idx);
+  EXPECT_EQ(s.ValueOf("pxq_index_path_probes_total"), 3);
+  EXPECT_EQ(s.ValueOf("pxq_index_path_declines_total"), 0);
+  EXPECT_GT(s.ValueOf("pxq_index_path_keys"), 0);
 }
 
 // Regression (review finding): a rename's dirty set holds only the
@@ -404,11 +414,12 @@ TEST(IndexManagerTest, ChainProbeMatchesScan) {
   EXPECT_EQ(idx.PathChainProbe(*store, {d}, big), nullptr);
   EXPECT_EQ(idx.PathChainProbe(*store, {a, b, c, d}, big), nullptr);
 
-  auto s = idx.Stats();
-  EXPECT_EQ(s.chain_probes, 3);  // the len-3 probes (declines don't count)
-  EXPECT_EQ(s.chain_hits, 3);
-  EXPECT_GT(s.chain_keys, 0);
-  EXPECT_GT(s.chain_postings, 0);
+  auto s = MetricsOf(idx);
+  // the len-3 probes (declines don't count)
+  EXPECT_EQ(s.ValueOf("pxq_index_chain_probes_total"), 3);
+  EXPECT_EQ(s.ValueOf("pxq_index_chain_declines_total"), 0);
+  EXPECT_GT(s.ValueOf("pxq_index_chain_keys"), 0);
+  EXPECT_GT(s.ValueOf("pxq_index_chain_postings"), 0);
 }
 
 // Acceptance: a depth-d absolute path is answered in
@@ -426,10 +437,11 @@ TEST(IndexManagerTest, DeepPathCascadeProbeCount) {
     auto res = xpath::EvaluatePath(*store, "/site/a/b/c/d", &idx);
     ASSERT_TRUE(res.ok());
     EXPECT_EQ(res.value(), want.value());
-    auto s = idx.Stats();
-    EXPECT_EQ(s.chain_probes, 2);  // ceil(4/2)
-    EXPECT_EQ(s.chain_hits, 2);
-    EXPECT_EQ(s.path_probes, 0);  // no pair-probe tail needed
+    auto s = MetricsOf(idx);
+    EXPECT_EQ(s.ValueOf("pxq_index_chain_probes_total"), 2);  // ceil(4/2)
+    EXPECT_EQ(s.ValueOf("pxq_index_chain_declines_total"), 0);
+    // no pair-probe tail needed
+    EXPECT_EQ(s.ValueOf("pxq_index_path_probes_total"), 0);
   }
   {
     index::IndexConfig cfg;
@@ -439,9 +451,9 @@ TEST(IndexManagerTest, DeepPathCascadeProbeCount) {
     auto res = xpath::EvaluatePath(*store, "/site/a/b/c/d", &idx);
     ASSERT_TRUE(res.ok());
     EXPECT_EQ(res.value(), want.value());
-    auto s = idx.Stats();
-    EXPECT_EQ(s.path_probes, 4);  // one per level
-    EXPECT_EQ(s.chain_probes, 0);
+    auto s = MetricsOf(idx);
+    EXPECT_EQ(s.ValueOf("pxq_index_path_probes_total"), 4);  // one per level
+    EXPECT_EQ(s.ValueOf("pxq_index_chain_probes_total"), 0);
   }
   {
     index::IndexConfig cfg;
@@ -451,9 +463,9 @@ TEST(IndexManagerTest, DeepPathCascadeProbeCount) {
     auto res = xpath::EvaluatePath(*store, "/site/a/b/c/d", &idx);
     ASSERT_TRUE(res.ok());
     EXPECT_EQ(res.value(), want.value());
-    auto s = idx.Stats();
-    EXPECT_EQ(s.chain_probes, 1);
-    EXPECT_EQ(s.path_probes, 0);
+    auto s = MetricsOf(idx);
+    EXPECT_EQ(s.ValueOf("pxq_index_chain_probes_total"), 1);
+    EXPECT_EQ(s.ValueOf("pxq_index_path_probes_total"), 0);
   }
 }
 
@@ -479,7 +491,7 @@ TEST(IndexManagerTest, DeepRenameRekeysChainNeighborhood) {
   ASSERT_TRUE(idx.ChildValueProbe(*store, c, CmpOp::kEq, "1", big, &simple,
                                   &rest));
   EXPECT_EQ(simple.size(), 1u);
-  const auto warm = idx.Stats();
+  const auto warm = MetricsOf(idx);
 
   // Rename <g> to <h> with a dirty set holding ONLY the renamed node.
   auto g_pre = xpath::EvaluatePath(*store, "//g");
@@ -507,10 +519,14 @@ TEST(IndexManagerTest, DeepRenameRekeysChainNeighborhood) {
   ASSERT_TRUE(idx.ChildValueProbe(*store, c, CmpOp::kEq, "1", big, &simple,
                                   &rest));
   EXPECT_EQ(simple.size(), 1u);
-  auto s = idx.Stats();
-  EXPECT_EQ(s.memo_value_misses, warm.memo_value_misses);
-  EXPECT_EQ(s.memo_value_hits, warm.memo_value_hits + 1);
-  EXPECT_EQ(s.structure_epoch, warm.structure_epoch);  // rename: no shift
+  auto s = MetricsOf(idx);
+  EXPECT_EQ(s.ValueOf("pxq_index_memo_value_misses_total"),
+            warm.ValueOf("pxq_index_memo_value_misses_total"));
+  EXPECT_EQ(s.ValueOf("pxq_index_memo_value_hits_total"),
+            warm.ValueOf("pxq_index_memo_value_hits_total") + 1);
+  // rename: no shift
+  EXPECT_EQ(s.ValueOf("pxq_index_structure_epoch"),
+            warm.ValueOf("pxq_index_structure_epoch"));
 
   // End-to-end: the chain cascade sees the renamed path.
   EXPECT_EQ(xpath::EvaluatePath(*store, "/r/h/p/c", &idx).value().size(),
@@ -578,8 +594,8 @@ TEST(IndexManagerTest, ChainMemoPerBucketInvalidation) {
   ASSERT_EQ(warm_ptr->size(), 1u);
   // Repeat: served from memo, same pointer.
   EXPECT_EQ(idx.PathChainProbe(*store, {r, g, p}, big), warm_ptr);
-  const auto warm = idx.Stats();
-  EXPECT_GE(warm.memo_hits, 1);
+  const auto warm = MetricsOf(idx);
+  EXPECT_GE(warm.ValueOf("pxq_index_memo_hits_total"), 1);
 
   // Value-only commit on an unrelated tag (<u>'s text): the chain
   // bucket and the structure epoch are untouched, so the memoized
@@ -596,7 +612,8 @@ TEST(IndexManagerTest, ChainMemoPerBucketInvalidation) {
     store->AttachIndexDelta(nullptr);
   }
   EXPECT_EQ(idx.PathChainProbe(*store, {r, g, p}, big), warm_ptr);
-  EXPECT_EQ(idx.Stats().memo_misses, warm.memo_misses);
+  EXPECT_EQ(MetricsOf(idx).ValueOf("pxq_index_memo_misses_total"),
+            warm.ValueOf("pxq_index_memo_misses_total"));
 
   // Rename <g> -> <h>: the (r, g, p) bucket vanishes and (r, h, p)
   // appears under a fresh generation — the stale materialization must
@@ -630,10 +647,10 @@ TEST(IndexManagerTest, NegativeCacheServesWarmDeclines) {
   // decline collects matches (cold), the repeat is served negatively.
   ASSERT_FALSE(idx.ChildValueProbe(*store, n, CmpOp::kEq, "17", 1, &simple,
                                    &rest));
-  EXPECT_EQ(idx.Stats().value_neg_hits, 0);
+  EXPECT_EQ(MetricsOf(idx).ValueOf("pxq_index_value_neg_hits_total"), 0);
   ASSERT_FALSE(idx.ChildValueProbe(*store, n, CmpOp::kEq, "17", 1, &simple,
                                    &rest));
-  EXPECT_EQ(idx.Stats().value_neg_hits, 1);
+  EXPECT_EQ(MetricsOf(idx).ValueOf("pxq_index_value_neg_hits_total"), 1);
 
   // A generous scan estimate upgrades the count-only entry to a real
   // materialization (the cached count feeds the gate, then the probe
@@ -661,22 +678,24 @@ TEST(IndexManagerTest, NegativeCacheServesWarmDeclines) {
   idx.ApplyDirty(*store, delta);
   store->AttachIndexDelta(nullptr);
 
-  const auto before = idx.Stats();
+  const auto before = MetricsOf(idx);
   ASSERT_FALSE(idx.ChildValueProbe(*store, n, CmpOp::kEq, "18", 1, &simple,
                                    &rest));  // cold: the new key
-  EXPECT_EQ(idx.Stats().value_neg_hits, before.value_neg_hits);
+  EXPECT_EQ(MetricsOf(idx).ValueOf("pxq_index_value_neg_hits_total"),
+            before.ValueOf("pxq_index_value_neg_hits_total"));
   ASSERT_FALSE(idx.ChildValueProbe(*store, n, CmpOp::kEq, "18", 1, &simple,
                                    &rest));  // warm again
-  EXPECT_EQ(idx.Stats().value_neg_hits, before.value_neg_hits + 1);
+  EXPECT_EQ(MetricsOf(idx).ValueOf("pxq_index_value_neg_hits_total"),
+            before.ValueOf("pxq_index_value_neg_hits_total") + 1);
 
   // Attribute probes share the protocol.
   QnameId id = store->pools().FindQname("id");
   ASSERT_FALSE(idx.AttrValueProbe(*store, id, CmpOp::kEq, "a2", 1)
                    .has_value());
-  const auto a0 = idx.Stats().value_neg_hits;
+  const auto a0 = MetricsOf(idx).ValueOf("pxq_index_value_neg_hits_total");
   ASSERT_FALSE(idx.AttrValueProbe(*store, id, CmpOp::kEq, "a2", 1)
                    .has_value());
-  EXPECT_EQ(idx.Stats().value_neg_hits, a0 + 1);
+  EXPECT_EQ(MetricsOf(idx).ValueOf("pxq_index_value_neg_hits_total"), a0 + 1);
 }
 
 TEST(IndexManagerTest, MemoServesRepeatedProbes) {
@@ -689,9 +708,9 @@ TEST(IndexManagerTest, MemoServesRepeatedProbes) {
   ASSERT_NE(p1, nullptr);
   // The second probe must share the memoized materialization.
   EXPECT_EQ(p1, p2);
-  auto s = idx.Stats();
-  EXPECT_EQ(s.memo_misses, 1);
-  EXPECT_EQ(s.memo_hits, 1);
+  auto s = MetricsOf(idx);
+  EXPECT_EQ(s.ValueOf("pxq_index_memo_misses_total"), 1);
+  EXPECT_EQ(s.ValueOf("pxq_index_memo_hits_total"), 1);
 }
 
 // Tentpole: value and attribute probes are memoized like qname/path
@@ -717,9 +736,9 @@ TEST(IndexManagerTest, ValueMemoServesRepeatedProbes) {
                                   &simple, &rest));
   EXPECT_EQ(simple.size(), 1u);
   {
-    auto s = idx.Stats();
-    EXPECT_EQ(s.memo_value_misses, 1);
-    EXPECT_EQ(s.memo_value_hits, 1);
+    auto s = MetricsOf(idx);
+    EXPECT_EQ(s.ValueOf("pxq_index_memo_value_misses_total"), 1);
+    EXPECT_EQ(s.ValueOf("pxq_index_memo_value_hits_total"), 1);
   }
 
   // Range probes memoize on the raw literal (their dictionary range is
@@ -738,9 +757,11 @@ TEST(IndexManagerTest, ValueMemoServesRepeatedProbes) {
     ASSERT_TRUE(range.has_value());
     EXPECT_EQ(range->size(), 2u);
   }
-  auto s = idx.Stats();
-  EXPECT_EQ(s.memo_value_misses, 4);  // one per distinct probe
-  EXPECT_EQ(s.memo_value_hits, 4);    // one per repeat
+  auto s = MetricsOf(idx);
+  // one per distinct probe
+  EXPECT_EQ(s.ValueOf("pxq_index_memo_value_misses_total"), 4);
+  // one per repeat
+  EXPECT_EQ(s.ValueOf("pxq_index_memo_value_hits_total"), 4);
 }
 
 // Tentpole: a value-only commit invalidates ONLY the dictionary keys it
@@ -768,7 +789,7 @@ TEST(IndexManagerTest, ValueMemoInvalidatesPerTouchedKey) {
   const std::vector<PreId>* n_pres =
       idx.ElementsByQname(*store, n, big);
   ASSERT_NE(n_pres, nullptr);
-  const auto warm = idx.Stats();
+  const auto warm = MetricsOf(idx);
 
   // Value-only commit: rewrite the first <c>'s text "x" -> "q" through
   // the store primitive, exactly as a transaction would.
@@ -795,11 +816,15 @@ TEST(IndexManagerTest, ValueMemoInvalidatesPerTouchedKey) {
   EXPECT_EQ(simple.size(), 1u);
   EXPECT_EQ(idx.ElementsByQname(*store, n, big), n_pres);
   {
-    auto s = idx.Stats();
-    EXPECT_EQ(s.memo_value_misses, warm.memo_value_misses);
-    EXPECT_EQ(s.memo_value_hits, warm.memo_value_hits + 2);
-    EXPECT_EQ(s.memo_misses, warm.memo_misses);
-    EXPECT_EQ(s.structure_epoch, warm.structure_epoch);
+    auto s = MetricsOf(idx);
+    EXPECT_EQ(s.ValueOf("pxq_index_memo_value_misses_total"),
+              warm.ValueOf("pxq_index_memo_value_misses_total"));
+    EXPECT_EQ(s.ValueOf("pxq_index_memo_value_hits_total"),
+              warm.ValueOf("pxq_index_memo_value_hits_total") + 2);
+    EXPECT_EQ(s.ValueOf("pxq_index_memo_misses_total"),
+              warm.ValueOf("pxq_index_memo_misses_total"));
+    EXPECT_EQ(s.ValueOf("pxq_index_structure_epoch"),
+              warm.ValueOf("pxq_index_structure_epoch"));
   }
   // The touched keys re-derive: "x" is gone, "q" is found.
   ASSERT_TRUE(idx.ChildValueProbe(*store, c, CmpOp::kEq, "x", big, &simple,
@@ -808,7 +833,8 @@ TEST(IndexManagerTest, ValueMemoInvalidatesPerTouchedKey) {
   ASSERT_TRUE(idx.ChildValueProbe(*store, c, CmpOp::kEq, "q", big, &simple,
                                   &rest));
   EXPECT_EQ(simple.size(), 1u);
-  EXPECT_GT(idx.Stats().memo_value_misses, warm.memo_value_misses);
+  EXPECT_GT(MetricsOf(idx).ValueOf("pxq_index_memo_value_misses_total"),
+            warm.ValueOf("pxq_index_memo_value_misses_total"));
 }
 
 // Satellite regression: replacing an attribute's value must invalidate
@@ -830,7 +856,7 @@ TEST(IndexManagerTest, AttrReplaceInvalidatesOldAndNewValueKeys) {
   EXPECT_EQ(idx.AttrValueProbe(*store, id, CmpOp::kEq, "a2", big)->size(),
             1u);
   EXPECT_EQ(idx.AttrOwners(*store, id, big)->size(), 2u);
-  const auto warm = idx.Stats();
+  const auto warm = MetricsOf(idx);
 
   // Replace @id on the first <a>: "a1" -> "zz", marked the way the
   // store primitive marks it (attr-only dirt on the owner).
@@ -856,10 +882,14 @@ TEST(IndexManagerTest, AttrReplaceInvalidatesOldAndNewValueKeys) {
   EXPECT_EQ(idx.AttrValueProbe(*store, id, CmpOp::kEq, "a2", big)->size(),
             1u);
   EXPECT_EQ(idx.AttrOwners(*store, id, big)->size(), 2u);
-  auto s = idx.Stats();
-  EXPECT_EQ(s.memo_value_hits, warm.memo_value_hits + 2);  // a2 + owners
-  EXPECT_EQ(s.memo_value_misses, warm.memo_value_misses + 2);
-  EXPECT_EQ(s.structure_epoch, warm.structure_epoch);
+  auto s = MetricsOf(idx);
+  // a2 + owners
+  EXPECT_EQ(s.ValueOf("pxq_index_memo_value_hits_total"),
+            warm.ValueOf("pxq_index_memo_value_hits_total") + 2);
+  EXPECT_EQ(s.ValueOf("pxq_index_memo_value_misses_total"),
+            warm.ValueOf("pxq_index_memo_value_misses_total") + 2);
+  EXPECT_EQ(s.ValueOf("pxq_index_structure_epoch"),
+            warm.ValueOf("pxq_index_structure_epoch"));
 }
 
 TEST(IndexManagerTest, CostGateDeclinesUnselectiveProbes) {
@@ -873,30 +903,34 @@ TEST(IndexManagerTest, CostGateDeclinesUnselectiveProbes) {
   EXPECT_EQ(idx.ElementsByQname(*store, n, 4), nullptr);
   // Generous scan estimate -> accept.
   EXPECT_NE(idx.ElementsByQname(*store, n, 1000), nullptr);
-  auto stats = idx.Stats();
-  EXPECT_EQ(stats.probes, 2);
-  EXPECT_EQ(stats.probe_hits, 1);
+  auto stats = MetricsOf(idx);
+  EXPECT_EQ(stats.ValueOf("pxq_index_probes_total"), 2);
+  EXPECT_EQ(stats.ValueOf("pxq_index_probe_declines_total"), 1);
 }
 
 TEST(IndexManagerTest, StatsReportStructure) {
   auto store = BuildStore(kDoc);
   index::IndexManager idx(index::IndexConfig{});
   idx.Rebuild(*store);
-  auto s = idx.Stats();
-  EXPECT_EQ(s.qname_keys, 5);         // r a n b c
-  EXPECT_EQ(s.postings_entries, 10);  // every element once
-  EXPECT_GT(s.value_keys, 0);
-  EXPECT_GT(s.attr_value_keys, 0);
-  EXPECT_EQ(s.path_keys, 5);          // (-,r) (r,a) (a,n) (r,b) (b,c)
+  auto s = MetricsOf(idx);
+  EXPECT_EQ(s.ValueOf("pxq_index_qname_keys"), 5);         // r a n b c
+  EXPECT_EQ(s.ValueOf("pxq_index_postings_entries"), 10);  // every element once
+  EXPECT_GT(s.ValueOf("pxq_index_value_keys"), 0);
+  EXPECT_GT(s.ValueOf("pxq_index_attr_value_keys"), 0);
+  // (-,r) (r,a) (a,n) (r,b) (b,c)
+  EXPECT_EQ(s.ValueOf("pxq_index_path_keys"), 5);
   // Default k = 3 adds one length-3 chain key per distinct tag chain:
   // (r,-,-) (a,r,-) (n,a,r) (b,r,-) (c,b,r).
-  EXPECT_EQ(s.chain_keys, 5);
-  EXPECT_EQ(s.chain_postings, 10);    // every element owns one len-3 key
-  EXPECT_EQ(s.node_states, 10);
-  EXPECT_GT(s.bytes, 0);
-  EXPECT_GE(s.build_micros, 0);
-  EXPECT_EQ(s.shards, 16);            // default config, power of two
-  EXPECT_EQ(s.publish_epoch, 1);      // the Rebuild publication
+  EXPECT_EQ(s.ValueOf("pxq_index_chain_keys"), 5);
+  // every element owns one len-3 key
+  EXPECT_EQ(s.ValueOf("pxq_index_chain_postings"), 10);
+  EXPECT_EQ(s.ValueOf("pxq_index_node_states"), 10);
+  EXPECT_GT(s.ValueOf("pxq_index_bytes"), 0);
+  EXPECT_GE(s.ValueOf("pxq_index_build_micros"), 0);
+  // default config, power of two
+  EXPECT_EQ(s.ValueOf("pxq_index_shards"), 16);
+  // the Rebuild publication
+  EXPECT_EQ(s.ValueOf("pxq_index_publish_epoch"), 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -956,15 +990,16 @@ TEST(IndexManagerTest, CardinalityStatsExactOnBuild) {
   EXPECT_TRUE(ap.known);
   EXPECT_GE(ap.count, 1);
 
-  auto s = idx.Stats();
+  auto s = MetricsOf(idx);
   // stat_keys: 5 qname postings + 10 path/chain keys (5 pairs + 5
   // len-3 chains) + value dicts (n: 3, c: 3) + attr dicts with their
   // owner sets (id: 2+1, p: 3+1).
-  EXPECT_EQ(s.stat_keys, 28);
+  EXPECT_EQ(s.ValueOf("pxq_index_stat_keys"), 28);
   // Non-empty equi-width buckets: n {5,17} -> 2, c {"17"} -> 1,
   // p {1,2,10} -> 3 (id values are non-numeric: no histogram).
-  EXPECT_EQ(s.histogram_buckets, 6);
-  EXPECT_GT(s.estimator_probes, 0);  // the ChainStats/... calls above
+  EXPECT_EQ(s.ValueOf("pxq_index_histogram_buckets"), 6);
+  // the ChainStats/... calls above
+  EXPECT_GT(s.ValueOf("pxq_estimator_probes_total"), 0);
 }
 
 TEST(IndexManagerTest, CardinalityStatsFollowRenameFanOut) {
@@ -1030,7 +1065,7 @@ TEST(IndexedQueryTest, CardinalityStatsStayExactThroughCommitAbort) {
 
   // A COMMITTED append is reflected exactly: one more <n> posting, one
   // more numeric histogram entry.
-  const auto before = db->IndexStats();
+  const auto before = db->Metrics();
   ASSERT_TRUE(
       db->Update("<xupdate:modifications version=\"1.0\" "
                  "xmlns:xupdate=\"http://www.xmldb.org/xupdate\">"
@@ -1039,9 +1074,10 @@ TEST(IndexedQueryTest, CardinalityStatsStayExactThroughCommitAbort) {
           .ok());
   EXPECT_EQ(idx->ChainStats({n}).count, 5);  // //a matches both <a> owners
   EXPECT_GT(idx->stats_epoch(), epoch0);
-  const auto after = db->IndexStats();
-  EXPECT_GT(after.histogram_buckets, 0);
-  EXPECT_GE(after.stat_keys, before.stat_keys);
+  const auto after = db->Metrics();
+  EXPECT_GT(after.ValueOf("pxq_index_histogram_buckets"), 0);
+  EXPECT_GE(after.ValueOf("pxq_index_stat_keys"),
+            before.ValueOf("pxq_index_stat_keys"));
   // Estimate via the public estimator facade too: point <= upper, and
   // the pessimistic upper bound equals the final chain's bucket size.
   index::CardinalityEstimator est(idx);
@@ -1095,11 +1131,15 @@ TEST(IndexedQueryTest, MatchesReferenceOnXmark) {
     ASSERT_TRUE(ref.ok()) << q;
     EXPECT_EQ(res.value(), ref.value()) << q;
   }
-  auto stats = db->IndexStats();
-  EXPECT_GT(stats.probe_hits, 0);
-  EXPECT_GT(stats.path_hits, 0);        // chain prefixes answered
-  EXPECT_GT(stats.child_step_hits, 0);  // child-axis steps answered
-  EXPECT_EQ(stats.cross_check_mismatches, 0);
+  auto stats = db->Metrics();
+  EXPECT_GT(stats.ValueOf("pxq_index_probes_total"),
+            stats.ValueOf("pxq_index_probe_declines_total"));
+  // Chain prefixes answered: some pair probes were accepted.
+  EXPECT_GT(stats.ValueOf("pxq_index_path_probes_total"),
+            stats.ValueOf("pxq_index_path_declines_total"));
+  // child-axis steps answered
+  EXPECT_GT(stats.ValueOf("pxq_index_child_step_hits_total"), 0);
+  EXPECT_EQ(stats.ValueOf("pxq_index_cross_check_mismatches_total"), 0);
 }
 
 // Satellite regression through the full Database stack: replace an
@@ -1124,7 +1164,7 @@ TEST(IndexedQueryTest, AttrReplacementOldValueProbeStaysExact) {
 
   EXPECT_EQ(db->Query("//a[@id='a1']").value().size(), 0u);
   EXPECT_EQ(db->Query("//a[@id='zz']").value().size(), 1u);
-  EXPECT_EQ(db->IndexStats().cross_check_mismatches, 0);
+  EXPECT_EQ(db->Metrics().ValueOf("pxq_index_cross_check_mismatches_total"), 0);
 }
 
 // Cross-check failures must say WHICH step diverged and which node ids
@@ -1152,7 +1192,8 @@ TEST(IndexedQueryTest, CrossCheckReportsDivergenceDetails) {
   EXPECT_NE(msg.find("descendant::a"), std::string::npos) << msg;
   EXPECT_NE(msg.find("scan-only=[pre"), std::string::npos) << msg;
   EXPECT_NE(msg.find("node"), std::string::npos) << msg;
-  EXPECT_GT(idx.Stats().cross_check_mismatches, 0);
+  EXPECT_GT(MetricsOf(idx).ValueOf("pxq_index_cross_check_mismatches_total"),
+            0);
 }
 
 // Satellite: aborts — including mid-commit conflict aborts — must drop
@@ -1173,8 +1214,8 @@ TEST(IndexAbortTest, AbortStormKeepsEpochAndMemoryBounded) {
 
   // One committed update to establish a non-trivial baseline.
   ASSERT_TRUE(db->Update(doc).ok());
-  const auto base = db->IndexStats();
-  ASSERT_GT(base.publish_epoch, 1);
+  const auto base = db->Metrics();
+  ASSERT_GT(base.ValueOf("pxq_index_publish_epoch"), 1);
 
   for (int i = 0; i < 100; ++i) {
     auto txn = db->Begin();
@@ -1186,20 +1227,26 @@ TEST(IndexAbortTest, AbortStormKeepsEpochAndMemoryBounded) {
   {
     // Explicit aborts published nothing: every epoch and memory figure
     // is exactly the baseline.
-    const auto after = db->IndexStats();
-    EXPECT_EQ(after.publish_epoch, base.publish_epoch);
-    EXPECT_EQ(after.structure_epoch, base.structure_epoch);
-    EXPECT_EQ(after.maintenance_ops, base.maintenance_ops);
-    EXPECT_EQ(after.applied_commits, base.applied_commits);
-    EXPECT_EQ(after.node_states, base.node_states);
-    EXPECT_EQ(after.bytes, base.bytes);
+    const auto after = db->Metrics();
+    EXPECT_EQ(after.ValueOf("pxq_index_publish_epoch"),
+              base.ValueOf("pxq_index_publish_epoch"));
+    EXPECT_EQ(after.ValueOf("pxq_index_structure_epoch"),
+              base.ValueOf("pxq_index_structure_epoch"));
+    EXPECT_EQ(after.ValueOf("pxq_index_maintenance_ops"),
+              base.ValueOf("pxq_index_maintenance_ops"));
+    EXPECT_EQ(after.ValueOf("pxq_index_applied_commits"),
+              base.ValueOf("pxq_index_applied_commits"));
+    EXPECT_EQ(after.ValueOf("pxq_index_node_states"),
+              base.ValueOf("pxq_index_node_states"));
+    EXPECT_EQ(after.ValueOf("pxq_index_bytes"),
+              base.ValueOf("pxq_index_bytes"));
   }
 
   // Mid-commit failure: t2 snapshots, a rival commit bumps the page
   // versions, then t2's own update poisons it (first-updater-wins) with
   // its overlay already populated — Commit() must fail and publish
   // nothing for t2.
-  const auto before_conflicts = db->IndexStats();
+  const auto before_conflicts = db->Metrics();
   const int kConflictRounds = 10;
   for (int i = 0; i < kConflictRounds; ++i) {
     auto t2 = db->Begin();
@@ -1208,12 +1255,14 @@ TEST(IndexAbortTest, AbortStormKeepsEpochAndMemoryBounded) {
     (void)t2.value()->Update(doc);      // poisons t2 on the page hook
     EXPECT_FALSE(t2.value()->Commit().ok());
   }
-  const auto after = db->IndexStats();
+  const auto after = db->Metrics();
   // Only the rival commits published (one each).
-  EXPECT_EQ(after.publish_epoch - before_conflicts.publish_epoch,
-            kConflictRounds);
-  EXPECT_EQ(after.applied_commits - before_conflicts.applied_commits,
-            kConflictRounds);
+  for (const char* name :
+       {"pxq_index_publish_epoch", "pxq_index_applied_commits"}) {
+    EXPECT_EQ(after.ValueOf(name) - before_conflicts.ValueOf(name),
+              kConflictRounds)
+        << name;
+  }
   // ...and queries remain exact (cross-check runs inside Query).
   for (const char* q : {"//c", "//a[@id='zz']", "/r/b/c", "//b[c='z']"}) {
     auto res = db->Query(q);
@@ -1225,7 +1274,7 @@ TEST(IndexAbortTest, AbortStormKeepsEpochAndMemoryBounded) {
     ASSERT_TRUE(ref.ok());
     EXPECT_EQ(res.value(), ref.value()) << q;
   }
-  EXPECT_EQ(db->IndexStats().cross_check_mismatches, 0);
+  EXPECT_EQ(db->Metrics().ValueOf("pxq_index_cross_check_mismatches_total"), 0);
 
   // Memory bound: the reverse map tracks live elements only — an abort
   // storm must not grow it. (Element count changed only by the
@@ -1235,7 +1284,7 @@ TEST(IndexAbortTest, AbortStormKeepsEpochAndMemoryBounded) {
     EXPECT_TRUE(r.ok());
     return static_cast<int64_t>(r.value().size());
   };
-  EXPECT_EQ(after.node_states, count_elems());
+  EXPECT_EQ(after.ValueOf("pxq_index_node_states"), count_elems());
 
   // Satellite: aborted transactions that staged VALUE mutations must
   // leave warm value-probe memo entries intact and correct — nothing
@@ -1243,7 +1292,7 @@ TEST(IndexAbortTest, AbortStormKeepsEpochAndMemoryBounded) {
   const char* warm_queries[] = {"//a[@id='zz']", "//b[c='z']",
                                 "//c[@p>='2']"};
   for (const char* q : warm_queries) ASSERT_TRUE(db->Query(q).ok());
-  const auto warmed = db->IndexStats();
+  const auto warmed = db->Metrics();
   for (int i = 0; i < 25; ++i) {
     auto txn = db->Begin();
     ASSERT_TRUE(txn.ok());
@@ -1255,13 +1304,16 @@ TEST(IndexAbortTest, AbortStormKeepsEpochAndMemoryBounded) {
     auto res = db->Query(q);  // cross-check mode verifies correctness
     ASSERT_TRUE(res.ok()) << q << ": " << res.status().ToString();
   }
-  const auto rewarmed = db->IndexStats();
-  EXPECT_EQ(rewarmed.publish_epoch, warmed.publish_epoch);
+  const auto rewarmed = db->Metrics();
+  EXPECT_EQ(rewarmed.ValueOf("pxq_index_publish_epoch"),
+            warmed.ValueOf("pxq_index_publish_epoch"));
   // Every value probe was served from the still-valid memo: hits grew,
   // misses did not.
-  EXPECT_EQ(rewarmed.memo_value_misses, warmed.memo_value_misses);
-  EXPECT_GT(rewarmed.memo_value_hits, warmed.memo_value_hits);
-  EXPECT_EQ(rewarmed.cross_check_mismatches, 0);
+  EXPECT_EQ(rewarmed.ValueOf("pxq_index_memo_value_misses_total"),
+            warmed.ValueOf("pxq_index_memo_value_misses_total"));
+  EXPECT_GT(rewarmed.ValueOf("pxq_index_memo_value_hits_total"),
+            warmed.ValueOf("pxq_index_memo_value_hits_total"));
+  EXPECT_EQ(rewarmed.ValueOf("pxq_index_cross_check_mismatches_total"), 0);
 }
 
 // A scan-vs-index smoke check with a deliberately enormous margin: a
@@ -1444,8 +1496,8 @@ TEST_F(IndexMaintenanceTest, RandomUpdatesKeepIndexExact) {
     verify_all("round " + std::to_string(round));
   }
 
-  EXPECT_EQ(db->IndexStats().cross_check_mismatches, 0);
-  EXPECT_GT(db->IndexStats().applied_commits, 0);
+  EXPECT_EQ(db->Metrics().ValueOf("pxq_index_cross_check_mismatches_total"), 0);
+  EXPECT_GT(db->Metrics().ValueOf("pxq_index_applied_commits"), 0);
 
   // Crash recovery: drop the handle (no checkpoint) and reopen; the
   // index is rebuilt from snapshot + WAL replay.
@@ -1454,7 +1506,7 @@ TEST_F(IndexMaintenanceTest, RandomUpdatesKeepIndexExact) {
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
   db = std::move(reopened).value();
   verify_all("after recovery");
-  EXPECT_EQ(db->IndexStats().cross_check_mismatches, 0);
+  EXPECT_EQ(db->Metrics().ValueOf("pxq_index_cross_check_mismatches_total"), 0);
 }
 
 // Concurrent writers + cross-checked readers: commits merge their
@@ -1495,7 +1547,7 @@ TEST(IndexConcurrencyTest, ConcurrentUpdatesStayConsistent) {
   threads.back().join();
 
   EXPECT_EQ(failures.load(), 0);
-  EXPECT_EQ(db->IndexStats().cross_check_mismatches, 0);
+  EXPECT_EQ(db->Metrics().ValueOf("pxq_index_cross_check_mismatches_total"), 0);
   auto c = db->Query("//c");
   ASSERT_TRUE(c.ok());
   EXPECT_EQ(c.value().size(), 3u + 120u);

@@ -15,6 +15,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "database.h"
@@ -539,75 +540,205 @@ TEST(DatabaseObsTest, CommitAndLockInstrumentsPopulate) {
   EXPECT_NE(prom.find("pxq_wal_appended_bytes_total"), std::string::npos);
 }
 
+// The full metric key set, by kind, after a durable Update + Checkpoint
+// (every subsystem registered, WAL on). A rename or a lost registration
+// fails here rather than in a downstream consumer of the names.
+TEST(DatabaseObsTest, MetricKeySetIsPinned) {
+  char tmpl[] = "/tmp/pxq_obs_XXXXXX";
+  ASSERT_NE(mkdtemp(tmpl), nullptr);
+  Database::Options opts;
+  opts.data_dir = tmpl;
+  auto db = std::move(Database::CreateFromXml(kDoc, opts).value());
+  ASSERT_TRUE(
+      db->Update(R"(<xupdate:modifications version="1.0"
+          xmlns:xupdate="http://www.xmldb.org/xupdate">
+        <xupdate:append select="/site/people">
+          <person id="p5"><name>n5</name></person>
+        </xupdate:append>
+      </xupdate:modifications>)")
+          .ok());
+  ASSERT_TRUE(db->Checkpoint().ok());
+
+  JsonValue root;
+  ASSERT_TRUE(JsonParser(db->StatsJson()).Parse(&root));
+  auto keys = [&root](const char* section) {
+    std::vector<std::string> out;
+    for (const auto& [name, v] : root.fields.at(section).fields) {
+      out.push_back(name);
+    }
+    return out;  // std::map order: sorted
+  };
+  EXPECT_EQ(keys("counters"),
+            (std::vector<std::string>{
+                "pxq_estimator_probes_total",
+                "pxq_group_commits",
+                "pxq_index_chain_declines_total",
+                "pxq_index_chain_probes_total",
+                "pxq_index_child_step_hits_total",
+                "pxq_index_cross_check_mismatches_total",
+                "pxq_index_memo_hits_total",
+                "pxq_index_memo_misses_total",
+                "pxq_index_memo_value_hits_total",
+                "pxq_index_memo_value_misses_total",
+                "pxq_index_path_declines_total",
+                "pxq_index_path_probes_total",
+                "pxq_index_probe_declines_total",
+                "pxq_index_probes_total",
+                "pxq_index_value_neg_hits_total",
+                "pxq_plan_reorders_total",
+                "pxq_profile_spans_total",
+                "pxq_recovery_replayed_commits",
+                "pxq_slow_queries_total",
+                "pxq_wal_appended_bytes_total",
+            }));
+  EXPECT_EQ(keys("gauges"),
+            (std::vector<std::string>{
+                "pxq_index_applied_commits",
+                "pxq_index_attr_value_keys",
+                "pxq_index_build_micros",
+                "pxq_index_bytes",
+                "pxq_index_chain_keys",
+                "pxq_index_chain_postings",
+                "pxq_index_complex_entries",
+                "pxq_index_histogram_buckets",
+                "pxq_index_maintenance_ops",
+                "pxq_index_node_states",
+                "pxq_index_path_keys",
+                "pxq_index_postings_entries",
+                "pxq_index_publish_epoch",
+                "pxq_index_qname_keys",
+                "pxq_index_shards",
+                "pxq_index_stat_keys",
+                "pxq_index_structure_epoch",
+                "pxq_index_value_keys",
+                "pxq_lock_drain_notifies",
+                "pxq_lock_reader_acquires",
+                "pxq_lock_reader_slots",
+                "pxq_lock_reader_waits",
+                "pxq_lock_slot_collisions",
+                "pxq_lock_writer_acquires",
+                "pxq_lock_writer_waits",
+                "pxq_plan_cache_evictions",
+                "pxq_plan_cache_hits",
+                "pxq_plan_cache_misses",
+                "pxq_plan_cache_size",
+                "pxq_wal_commits",
+            }));
+  EXPECT_EQ(keys("histograms"),
+            (std::vector<std::string>{
+                "pxq_checkpoint_ns",
+                "pxq_commit_window_ns",
+                "pxq_commits_per_group",
+                "pxq_est_error",
+                "pxq_index_apply_dirty_ns",
+                "pxq_lock_reader_wait_ns",
+                "pxq_lock_writer_wait_ns",
+                "pxq_plan_compile_ns",
+                "pxq_query_ns",
+                "pxq_recovery_replay_ns",
+                "pxq_wal_append_ns",
+            }));
+  // Values behind a few of the keys: the update and the checkpoint ran,
+  // and the checkpoint truncated the WAL.
+  const MetricsSnapshot m = db->Metrics();
+  EXPECT_EQ(m.ValueOf("pxq_checkpoint_ns"), 1);
+  EXPECT_EQ(m.ValueOf("pxq_wal_commits"), 0);
+  EXPECT_GE(m.ValueOf("pxq_lock_reader_slots"), 2);
+}
+
 // ---------------------------------------------------------------------------
-// IndexStats snapshot coherence under a concurrent reader storm — the
-// regression test for the non-atomic merge of index + plan-cache stats.
+// Metrics snapshot coherence under a concurrent reader storm: snapshots
+// read in registration order, and each index family registers its
+// declines before its probes, so derived hits never leave [0, probes].
 // ---------------------------------------------------------------------------
 
-TEST(DatabaseObsTest, IndexStatsCoherentUnderReaderStorm) {
+constexpr std::pair<const char*, const char*> kProbeFamilies[] = {
+    {"pxq_index_probes_total", "pxq_index_probe_declines_total"},
+    {"pxq_index_path_probes_total", "pxq_index_path_declines_total"},
+    {"pxq_index_chain_probes_total", "pxq_index_chain_declines_total"},
+};
+
+TEST(DatabaseObsTest, MetricsCoherentUnderReaderStorm) {
   auto db = std::move(Database::CreateFromXml(kDoc).value());
   constexpr int kReaders = 4;
   std::atomic<bool> stop{false};
   std::atomic<int64_t> issued{0};
+  std::atomic<int> running{0};
   std::vector<std::thread> readers;
   readers.reserve(kReaders);
   for (int t = 0; t < kReaders; ++t) {
-    readers.emplace_back([&db, &stop, &issued, t] {
+    readers.emplace_back([&db, &stop, &issued, &running, t] {
       const char* queries[] = {
           "/site/people/person/name",
           "/site/regions/zone/area/item/price",
           "/site/people/person[@id='p1']/name",
       };
+      const bool first_ok = db->Query(queries[t % 3]).ok();
+      issued.fetch_add(1);
+      running.fetch_add(1);  // even on failure: never strand the waiter
+      ASSERT_TRUE(first_ok);
       while (!stop.load()) {
         ASSERT_TRUE(db->Query(queries[t % 3]).ok());
         issued.fetch_add(1);
       }
     });
   }
+  // Every reader is in its loop before sampling starts, so the samples
+  // below really overlap four readers' traffic.
+  while (running.load() < kReaders) std::this_thread::yield();
 
-  // Sample stats mid-storm: every snapshot must be internally sane
-  // even while counters advance underneath it.
+  // Sample mid-storm: every snapshot must be internally sane even while
+  // counters advance underneath it.
   int64_t last_plan_lookups = 0;
   int64_t last_estimator_probes = 0;
   int64_t first_stat_keys = -1;
   int64_t first_hist_buckets = -1;
   for (int round = 0; round < 200; ++round) {
-    const index::IndexStats s = db->IndexStats();
+    const MetricsSnapshot m = db->Metrics();
     // Cardinality-stat surfaces: the structural counts are derived
     // from the published snapshot, so with no writer in the storm
     // they are frozen — every sample must agree with the first.
-    EXPECT_GT(s.stat_keys, 0);
+    const int64_t stat_keys = m.ValueOf("pxq_index_stat_keys");
+    const int64_t hist_buckets = m.ValueOf("pxq_index_histogram_buckets");
+    EXPECT_GT(stat_keys, 0);
     if (first_stat_keys < 0) {
-      first_stat_keys = s.stat_keys;
-      first_hist_buckets = s.histogram_buckets;
+      first_stat_keys = stat_keys;
+      first_hist_buckets = hist_buckets;
     }
-    EXPECT_EQ(s.stat_keys, first_stat_keys);
-    EXPECT_EQ(s.histogram_buckets, first_hist_buckets);
+    EXPECT_EQ(stat_keys, first_stat_keys);
+    EXPECT_EQ(hist_buckets, first_hist_buckets);
     // Estimator probes are a monotone counter (compile-time lookups).
-    EXPECT_GE(s.estimator_probes, last_estimator_probes);
-    last_estimator_probes = s.estimator_probes;
-    // Derived hit counts stay within [0, probes] — the decline-before-
-    // probe read order guarantee.
-    EXPECT_GE(s.probe_hits, 0);
-    EXPECT_LE(s.probe_hits, s.probes);
-    EXPECT_GE(s.path_hits, 0);
-    EXPECT_LE(s.path_hits, s.path_probes);
-    EXPECT_GE(s.chain_hits, 0);
-    EXPECT_LE(s.chain_hits, s.chain_probes);
-    // The plan-cache triple is one mutex-guarded copy: hits + misses
-    // is exactly the completed lookups, hence monotone across samples.
-    const int64_t lookups = s.plan_hits + s.plan_misses;
+    const int64_t estimator_probes = m.ValueOf("pxq_estimator_probes_total");
+    EXPECT_GE(estimator_probes, last_estimator_probes);
+    last_estimator_probes = estimator_probes;
+    // Derived hits (probes - declines) stay within [0, probes] for every
+    // family — the declines-registered-first read order.
+    for (const auto& [probes_name, declines_name] : kProbeFamilies) {
+      const int64_t probes = m.ValueOf(probes_name);
+      const int64_t declines = m.ValueOf(declines_name);
+      EXPECT_GE(probes - declines, 0) << probes_name;
+      EXPECT_LE(probes - declines, probes) << probes_name;
+    }
+    // The plan-cache triple is read under one lock: hits + misses is
+    // exactly the completed lookups, hence monotone across samples.
+    const int64_t lookups = m.ValueOf("pxq_plan_cache_hits") +
+                            m.ValueOf("pxq_plan_cache_misses");
     EXPECT_GE(lookups, last_plan_lookups);
     last_plan_lookups = lookups;
   }
   stop.store(true);
   for (auto& r : readers) r.join();
 
-  // Quiesced: completed lookups == queries issued (3 distinct texts
-  // compiled once each, the rest cache hits; no evicting traffic).
-  const index::IndexStats s = db->IndexStats();
-  EXPECT_EQ(s.plan_hits + s.plan_misses, issued.load());
-  EXPECT_GE(s.plan_hits, issued.load() - 3);
+  // Quiesced: completed lookups == queries issued. Every one of the 3
+  // distinct texts misses at least once; readers sharing a text can
+  // each miss once before the first compile is inserted (the compile
+  // race PlanCache::Insert resolves last-writer-wins), and no lookup
+  // misses after its reader's own insert (no writes, no eviction).
+  const MetricsSnapshot m = db->Metrics();
+  const int64_t misses = m.ValueOf("pxq_plan_cache_misses");
+  EXPECT_EQ(m.ValueOf("pxq_plan_cache_hits") + misses, issued.load());
+  EXPECT_GE(misses, 3);
+  EXPECT_LE(misses, kReaders);
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 
 #include "database.h"
 #include "index/index_manager.h"
+#include "obs/metrics.h"
 #include "storage/paged_store.h"
 #include "storage/shredder.h"
 #include "xpath/compiler.h"
@@ -24,6 +25,15 @@ namespace {
 
 using xpath::OpKind;
 using xpath::Plan;
+
+/// Metrics of a component driven without a Database (IndexManager,
+/// PlanCache, ...): registered into a local registry and snapshotted.
+template <typename Component>
+obs::MetricsSnapshot MetricsOf(const Component& c) {
+  obs::MetricsRegistry reg;
+  c.RegisterMetrics(&reg);
+  return reg.Snapshot();
+}
 
 constexpr const char* kDoc =
     "<site>"
@@ -195,8 +205,9 @@ TEST(CompiledExecutionTest, MatchesReferenceWithAndWithoutIndex) {
     ASSERT_TRUE(again.ok()) << q;
     EXPECT_EQ(again.value(), a.value()) << q;
   }
-  EXPECT_GT(cache.stats().hits, 0);
-  EXPECT_EQ(idx.Stats().cross_check_mismatches, 0);
+  EXPECT_GT(MetricsOf(cache).ValueOf("pxq_plan_cache_hits"), 0);
+  EXPECT_EQ(MetricsOf(idx).ValueOf("pxq_index_cross_check_mismatches_total"),
+            0);
 }
 
 // ---------------------------------------------------------------------------
@@ -210,13 +221,13 @@ TEST(PlanCacheTest, HitsMissesAndCrossTxnSharing) {
 
   const char* q = "/site/people/person";
   ASSERT_TRUE(db->Query(q).ok());
-  auto s1 = db->IndexStats();
-  EXPECT_EQ(s1.plan_misses, 1);
-  EXPECT_EQ(s1.plan_hits, 0);
+  auto s1 = db->Metrics();
+  EXPECT_EQ(s1.ValueOf("pxq_plan_cache_misses"), 1);
+  EXPECT_EQ(s1.ValueOf("pxq_plan_cache_hits"), 0);
   ASSERT_TRUE(db->Query(q).ok());
-  auto s2 = db->IndexStats();
-  EXPECT_EQ(s2.plan_misses, 1);
-  EXPECT_EQ(s2.plan_hits, 1);
+  auto s2 = db->Metrics();
+  EXPECT_EQ(s2.ValueOf("pxq_plan_cache_misses"), 1);
+  EXPECT_EQ(s2.ValueOf("pxq_plan_cache_hits"), 1);
 
   // A transaction shares the cache (and the compiled plan, executed
   // without the index): its view diverges from the base after staged
@@ -226,7 +237,8 @@ TEST(PlanCacheTest, HitsMissesAndCrossTxnSharing) {
   auto before = txn.value()->Query(q);
   ASSERT_TRUE(before.ok());
   EXPECT_EQ(before->size(), 3u);
-  EXPECT_GT(db->IndexStats().plan_hits, s2.plan_hits);
+  EXPECT_GT(db->Metrics().ValueOf("pxq_plan_cache_hits"),
+            s2.ValueOf("pxq_plan_cache_hits"));
   ASSERT_TRUE(txn.value()
                   ->Update("<xupdate:modifications version=\"1.0\" "
                            "xmlns:xupdate=\"http://www.xmldb.org/xupdate\">"
@@ -255,9 +267,9 @@ TEST(PlanCacheTest, QnamePoolGrowthRecompilesUnresolvedPlans) {
   ASSERT_TRUE(db->Query("//gadget").ok());  // hit: pool unchanged
   ASSERT_TRUE(db->Query("//person").ok());
   ASSERT_TRUE(db->Query("//person").ok());
-  auto s0 = db->IndexStats();
-  EXPECT_EQ(s0.plan_misses, 2);
-  EXPECT_EQ(s0.plan_hits, 2);
+  auto s0 = db->Metrics();
+  EXPECT_EQ(s0.ValueOf("pxq_plan_cache_misses"), 2);
+  EXPECT_EQ(s0.ValueOf("pxq_plan_cache_hits"), 2);
 
   // Interning new names (the insert's element tag) bumps the pool
   // generation: the tainted plan recompiles and now sees the node...
@@ -270,13 +282,16 @@ TEST(PlanCacheTest, QnamePoolGrowthRecompilesUnresolvedPlans) {
   auto after = db->Query("//gadget");
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(after->size(), 1u);
-  auto s1 = db->IndexStats();
-  EXPECT_EQ(s1.plan_misses, s0.plan_misses + 1);
+  auto s1 = db->Metrics();
+  EXPECT_EQ(s1.ValueOf("pxq_plan_cache_misses"),
+            s0.ValueOf("pxq_plan_cache_misses") + 1);
   // ... while the fully-resolved plan keeps hitting across the growth.
   ASSERT_TRUE(db->Query("//person").ok());
-  auto s2 = db->IndexStats();
-  EXPECT_EQ(s2.plan_hits, s1.plan_hits + 1);
-  EXPECT_EQ(s2.plan_misses, s1.plan_misses);
+  auto s2 = db->Metrics();
+  EXPECT_EQ(s2.ValueOf("pxq_plan_cache_hits"),
+            s1.ValueOf("pxq_plan_cache_hits") + 1);
+  EXPECT_EQ(s2.ValueOf("pxq_plan_cache_misses"),
+            s1.ValueOf("pxq_plan_cache_misses"));
 }
 
 TEST(PlanCacheTest, EnvironmentFingerprintChangeInvalidates) {
@@ -294,19 +309,19 @@ TEST(PlanCacheTest, EnvironmentFingerprintChangeInvalidates) {
   const char* q = "/site/regions/zone/area/item";
   xpath::Evaluator<storage::PagedStore> e3(*store, &i3, &cache);
   ASSERT_TRUE(e3.Eval(q).ok());
-  EXPECT_EQ(cache.stats().misses, 1);
+  EXPECT_EQ(MetricsOf(cache).ValueOf("pxq_plan_cache_misses"), 1);
   // Same text under a different IndexConfig (chain depth): the baked
   // cascade no longer matches the environment — recompile, not reuse.
   xpath::Evaluator<storage::PagedStore> e2(*store, &i2, &cache);
   ASSERT_TRUE(e2.Eval(q).ok());
-  EXPECT_EQ(cache.stats().misses, 2);
-  EXPECT_EQ(cache.stats().hits, 0);
+  EXPECT_EQ(MetricsOf(cache).ValueOf("pxq_plan_cache_misses"), 2);
+  EXPECT_EQ(MetricsOf(cache).ValueOf("pxq_plan_cache_hits"), 0);
   ASSERT_TRUE(e2.Eval(q).ok());
-  EXPECT_EQ(cache.stats().hits, 1);
+  EXPECT_EQ(MetricsOf(cache).ValueOf("pxq_plan_cache_hits"), 1);
   // No-index environment is a third fingerprint.
   xpath::Evaluator<storage::PagedStore> e0(*store, nullptr, &cache);
   ASSERT_TRUE(e0.Eval(q).ok());
-  EXPECT_EQ(cache.stats().misses, 3);
+  EXPECT_EQ(MetricsOf(cache).ValueOf("pxq_plan_cache_misses"), 3);
 }
 
 TEST(PlanCacheTest, CapacityEvictionIsLru) {
@@ -317,9 +332,10 @@ TEST(PlanCacheTest, CapacityEvictionIsLru) {
   ASSERT_TRUE(ev.Eval("//item").ok());
   ASSERT_TRUE(ev.Eval("//person").ok());  // person now most recent
   ASSERT_TRUE(ev.Eval("//price").ok());   // evicts //item
-  EXPECT_EQ(cache.stats().evictions, 1);
+  EXPECT_EQ(MetricsOf(cache).ValueOf("pxq_plan_cache_evictions"), 1);
   ASSERT_TRUE(ev.Eval("//person").ok());
-  EXPECT_EQ(cache.stats().hits, 2);  // person survived the eviction
+  // person survived the eviction
+  EXPECT_EQ(MetricsOf(cache).ValueOf("pxq_plan_cache_hits"), 2);
 }
 
 // ---------------------------------------------------------------------------
@@ -414,7 +430,7 @@ TEST(SelectivityTest, ReordersConjunctivePredicatesRarestFirst) {
       << *explain;
   EXPECT_NE(explain->find("gate declined: candidates"), std::string::npos)
       << *explain;
-  EXPECT_GT(idx.Stats().plan_reorders, 0);
+  EXPECT_GT(MetricsOf(idx).ValueOf("pxq_plan_reorders_total"), 0);
 }
 
 TEST(SelectivityTest, FusesRareValueProbeIntoChainPrefix) {
@@ -518,8 +534,8 @@ TEST(SelectivityTest, StatsEpochMovementRecompilesSteeredPlansOnly) {
   const char* plain = "/site/people/person";
   ASSERT_TRUE(db->Query(steered).ok());
   ASSERT_TRUE(db->Query(plain).ok());
-  auto s0 = db->IndexStats();
-  EXPECT_EQ(s0.plan_misses, 2);
+  auto s0 = db->Metrics();
+  EXPECT_EQ(s0.ValueOf("pxq_plan_cache_misses"), 2);
 
   // A committed update moves the stats epoch: the estimate-steered
   // plan recompiles, the estimate-free plan stays cached.
@@ -531,37 +547,43 @@ TEST(SelectivityTest, StatsEpochMovementRecompilesSteeredPlansOnly) {
                  "</xupdate:append></xupdate:modifications>")
           .ok());
   ASSERT_TRUE(db->Query(plain).ok());
-  auto s1 = db->IndexStats();
-  EXPECT_EQ(s1.plan_misses, 2);  // estimate-free: cache hit
+  auto s1 = db->Metrics();
+  // estimate-free: cache hit
+  EXPECT_EQ(s1.ValueOf("pxq_plan_cache_misses"), 2);
   ASSERT_TRUE(db->Query(steered).ok());
-  auto s2 = db->IndexStats();
-  EXPECT_EQ(s2.plan_misses, 3);  // steered: epoch-invalidated, recompiled
+  auto s2 = db->Metrics();
+  // steered: epoch-invalidated, recompiled
+  EXPECT_EQ(s2.ValueOf("pxq_plan_cache_misses"), 3);
   ASSERT_TRUE(db->Query(steered).ok());
-  EXPECT_EQ(db->IndexStats().plan_misses, 3);  // stable until stats move
+  // stable until stats move
+  EXPECT_EQ(db->Metrics().ValueOf("pxq_plan_cache_misses"), 3);
 }
 
 // ---------------------------------------------------------------------------
 // Global-lock contention counters
 // ---------------------------------------------------------------------------
 
-TEST(LockStatsTest, CountsReaderAndWriterAcquires) {
+TEST(LockMetricsTest, CountsReaderAndWriterAcquires) {
   auto db_or = Database::CreateFromXml(kDoc);
   ASSERT_TRUE(db_or.ok());
   auto db = std::move(db_or).value();
-  auto base = db->LockStats();
+  auto base = db->Metrics();
   ASSERT_TRUE(db->Query("//person").ok());
-  auto after_read = db->LockStats();
-  EXPECT_GT(after_read.reader_acquires, base.reader_acquires);
+  auto after_read = db->Metrics();
+  EXPECT_GT(after_read.ValueOf("pxq_lock_reader_acquires"),
+            base.ValueOf("pxq_lock_reader_acquires"));
   ASSERT_TRUE(db->Update("<xupdate:modifications version=\"1.0\" "
                          "xmlns:xupdate=\"http://www.xmldb.org/xupdate\">"
                          "<xupdate:append select=\"/site\">"
                          "<extra/></xupdate:append>"
                          "</xupdate:modifications>")
                   .ok());
-  auto after_write = db->LockStats();
-  EXPECT_GT(after_write.writer_acquires, after_read.writer_acquires);
-  EXPECT_GE(after_write.reader_waits, 0);
-  EXPECT_GE(after_write.writer_waits, 0);
+  auto after_write = db->Metrics();
+  EXPECT_GT(after_write.ValueOf("pxq_lock_writer_acquires"),
+            after_read.ValueOf("pxq_lock_writer_acquires"));
+  EXPECT_GE(after_write.ValueOf("pxq_lock_reader_waits"), 0);
+  EXPECT_GE(after_write.ValueOf("pxq_lock_writer_waits"), 0);
+  EXPECT_GE(after_write.ValueOf("pxq_lock_reader_slots"), 2);
 }
 
 }  // namespace

@@ -21,6 +21,7 @@
 
 #include "common/fault_injection.h"
 #include "database.h"
+#include "obs/metrics.h"
 #include "storage/paged_store.h"
 #include "storage/shredder.h"
 #include "storage/store_serializer.h"
@@ -31,6 +32,16 @@
 
 namespace pxq {
 namespace {
+
+/// Metrics of a component driven without a Database (here a bare
+/// TransactionManager): registered into a local registry and
+/// snapshotted.
+template <typename Component>
+obs::MetricsSnapshot MetricsOf(const Component& c) {
+  obs::MetricsRegistry reg;
+  c.RegisterMetrics(&reg);
+  return reg.Snapshot();
+}
 
 namespace fs = std::filesystem;
 
@@ -638,10 +649,12 @@ TEST(GroupCommitRecoveryTest, WriteBurstBatchesCommitsAndRecovers) {
   for (auto& th : threads) th.join();
   ASSERT_EQ(committed.load(), kThreads * kCommitsEach);
 
-  const int64_t groups = mgr.group_commits();
+  const obs::MetricsSnapshot m = MetricsOf(mgr);
+  const int64_t groups = m.ValueOf("pxq_group_commits");
   EXPECT_GT(groups, 0);
   EXPECT_LT(groups, int64_t{kThreads} * kCommitsEach);
-  EXPECT_GE(mgr.commits_per_group_hist().Snap().p50(), 2.0);
+  ASSERT_NE(m.HistOf("pxq_commits_per_group"), nullptr);
+  EXPECT_GE(m.HistOf("pxq_commits_per_group")->p50(), 2.0);
 
   auto rec = txn::TransactionManager::Recover(snap, wal);
   ASSERT_TRUE(rec.ok()) << rec.status().ToString();
@@ -673,10 +686,10 @@ TEST(RecoveryMetricsTest, CheckpointAndRecoveryMetricsAreExposed) {
   ASSERT_TRUE(
       db->Update(Wrap("<xupdate:append select=\"/db\"><b/></xupdate:append>"))
           .ok());
-  EXPECT_EQ(db->txn_manager().wal_commits(), 1);
+  EXPECT_EQ(db->Metrics().ValueOf("pxq_wal_commits"), 1);
   ASSERT_TRUE(db->Checkpoint().ok());
-  EXPECT_EQ(db->txn_manager().checkpoint_hist().Count(), 1);
-  EXPECT_EQ(db->txn_manager().wal_commits(), 0);  // truncated
+  EXPECT_EQ(db->Metrics().ValueOf("pxq_checkpoint_ns"), 1);
+  EXPECT_EQ(db->Metrics().ValueOf("pxq_wal_commits"), 0);  // truncated
 
   // One commit after the checkpoint: the next Open replays exactly it.
   ASSERT_TRUE(

@@ -8,6 +8,7 @@
 #include <filesystem>
 #include <thread>
 
+#include "obs/metrics.h"
 #include "storage/paged_store.h"
 #include "storage/shredder.h"
 #include "storage/store_serializer.h"
@@ -17,6 +18,16 @@
 
 namespace pxq {
 namespace {
+
+/// Metrics of a component driven without a Database (here a bare
+/// TransactionManager): registered into a local registry and
+/// snapshotted.
+template <typename Component>
+obs::MetricsSnapshot MetricsOf(const Component& c) {
+  obs::MetricsRegistry reg;
+  c.RegisterMetrics(&reg);
+  return reg.Snapshot();
+}
 
 std::shared_ptr<storage::PagedStore> BuildStore(const char* xml,
                                                 int32_t page_tuples = 16,
@@ -169,6 +180,51 @@ TEST(TxnTest, FirstUpdaterWinsAcrossCommit) {
   auto s2 = xupdate::ApplyXUpdate(t2.value()->store(), update);
   EXPECT_FALSE(s2.ok());
   EXPECT_TRUE(s2.status().IsConflict()) << s2.status().ToString();
+}
+
+TEST(TxnTest, RetryAfterLostPageRaceKeepsThePage) {
+  // A loses first-updater-wins on the page B committed to. Retry hands
+  // A's page lock to the new attempt, whose snapshot already includes
+  // B's commit: a writer C that begins in between cannot take the page
+  // (its lock wait times out), and A's first retry commits.
+  auto base = BuildStore(kDoc, /*page_tuples=*/256, /*fill=*/0.5);
+  txn::TxnOptions opts;
+  opts.lock_timeout = std::chrono::milliseconds(50);
+  auto mgr_or = txn::TransactionManager::Create(base, opts);
+  ASSERT_TRUE(mgr_or.ok());
+  auto& mgr = *mgr_or.value();
+  const char* update = R"(
+    <xupdate:modifications version="1.0"
+        xmlns:xupdate="http://www.xmldb.org/xupdate">
+      <xupdate:append select="/db/sec2"><w/></xupdate:append>
+    </xupdate:modifications>)";
+
+  auto a = mgr.Begin();
+  auto b = mgr.Begin();
+  ASSERT_TRUE(a.ok() && b.ok());
+  ASSERT_TRUE(xupdate::ApplyXUpdate(b.value()->store(), update).ok());
+  ASSERT_TRUE(b.value()->Commit().ok());
+  auto lost = xupdate::ApplyXUpdate(a.value()->store(), update);
+  ASSERT_TRUE(lost.status().IsConflict()) << lost.status().ToString();
+
+  auto retry = mgr.Retry(std::move(a).value());
+  ASSERT_TRUE(retry.ok()) << retry.status().ToString();
+  auto c = mgr.Begin();
+  ASSERT_TRUE(c.ok());
+  auto blocked = xupdate::ApplyXUpdate(c.value()->store(), update);
+  ASSERT_TRUE(blocked.status().IsConflict());
+  EXPECT_NE(blocked.status().ToString().find("deadlock timeout"),
+            std::string::npos)
+      << blocked.status().ToString();
+  ASSERT_TRUE(c.value()->Abort().ok());
+
+  auto applied = xupdate::ApplyXUpdate(retry.value()->store(), update);
+  ASSERT_TRUE(applied.ok()) << applied.status().ToString();
+  ASSERT_TRUE(retry.value()->Commit().ok());
+  auto w = xpath::EvaluatePath(*base, "/db/sec2/w");
+  ASSERT_TRUE(w.ok());
+  EXPECT_EQ(w.value().size(), 2u);  // B's and A's appends
+  EXPECT_TRUE(base->CheckInvariants().ok());
 }
 
 TEST(TxnTest, ConcurrentDisjointWritersBothCommit) {
@@ -425,12 +481,13 @@ TEST(LockScalingTest, ReadersRunWaitFreeAndWakeFreeWithoutWriters) {
   for (auto& th : threads) th.join();
   EXPECT_GT(seen.load(), 0);
 
-  const auto st = mgr.lock_stats();
-  EXPECT_EQ(st.reader_slots, 64);
-  EXPECT_GE(st.reader_acquires, int64_t{kThreads} * kReadsPerThread);
-  EXPECT_EQ(st.reader_waits, 0);
-  EXPECT_EQ(st.writer_acquires, 0);
-  EXPECT_EQ(st.drain_notifies, 0);
+  const obs::MetricsSnapshot st = MetricsOf(mgr);
+  EXPECT_EQ(st.ValueOf("pxq_lock_reader_slots"), 64);
+  EXPECT_GE(st.ValueOf("pxq_lock_reader_acquires"),
+            int64_t{kThreads} * kReadsPerThread);
+  EXPECT_EQ(st.ValueOf("pxq_lock_reader_waits"), 0);
+  EXPECT_EQ(st.ValueOf("pxq_lock_writer_acquires"), 0);
+  EXPECT_EQ(st.ValueOf("pxq_lock_drain_notifies"), 0);
 }
 
 TEST(LockScalingTest, WriterMakesProgressUnderReaderStorm) {
@@ -482,12 +539,14 @@ TEST(LockScalingTest, WriterMakesProgressUnderReaderStorm) {
   for (auto& th : readers) th.join();
 
   EXPECT_EQ(committed, kCommits);
-  const auto st = mgr.lock_stats();
-  EXPECT_GE(st.writer_acquires, kCommits);
+  const obs::MetricsSnapshot st = MetricsOf(mgr);
+  EXPECT_GE(st.ValueOf("pxq_lock_writer_acquires"), kCommits);
   // Bounded writer wait: the intent flag caps each drain at the length
   // of in-flight reads, so total blocked time stays far below a second
   // per commit even on a loaded single-core runner.
-  EXPECT_LT(st.writer_wait_ns, int64_t{kCommits} * 1000 * 1000 * 1000)
+  ASSERT_NE(st.HistOf("pxq_lock_writer_wait_ns"), nullptr);
+  EXPECT_LT(st.HistOf("pxq_lock_writer_wait_ns")->sum,
+            int64_t{kCommits} * 1000 * 1000 * 1000)
       << "writer stalled behind readers";
   auto n = xpath::EvaluatePath(*base, "/db/sec1/storm");
   ASSERT_TRUE(n.ok());
